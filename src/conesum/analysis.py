@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .cone_operator import ALPHA, BETA, Family
 from .errors import (
     DomainError,
     SolverDisagreementError,
@@ -93,12 +94,14 @@ def assemble_spectrum(
 ) -> SpectrumResult:
     """Full degree-p spectrum below lam_max; method in {fem, secular, both}.
 
-    With method="both" the secular and extrapolated FEM eigenvalues must
-    agree in count and to ``cross_rtol`` relative on every channel, except
-    where the secular scan itself flagged a suspected root cluster, which is
-    adjudicated in FEM's favour.  Zero modes are counted analytically from
-    the harmonic matching systems and cross-checked against the number of
-    numerically tiny eigenvalues; a mismatch is a hard error.
+    The secular solver sees a coupled PLUS_HALF problem as its two scalar
+    slot problems, so with method="both" every channel's coupled FEM
+    eigenvalues are checked against the union of the slot spectra: counts
+    must be equal and values agree to ``cross_rtol`` relative, otherwise
+    SolverDisagreementError is raised.  Zero modes are counted analytically
+    from the harmonic matching systems; FEM must find exactly that many
+    numerically tiny eigenvalues per channel.  Reported eigenvalues come
+    from FEM unless method="secular".
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
@@ -108,42 +111,24 @@ def assemble_spectrum(
 
     entries: list[Eigenvalue] = []
     fields: dict = {}
-    numeric_zeros = 0
-    analytic_zeros = 0
-    notes: list[str] = []
+    zero_count = 0
     for prob in problems:
-        kernel = first_order_kernel(prob)
-        analytic_zeros += kernel.dim * prob.multiplicity
-        fem_list = None
-        sec_list = None
-        if method in ("fem", "both"):
-            fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=want_fields)
-        if method in ("secular", "both"):
-            sec_list = transfer_spectrum(prob, lam_max)
-        if method == "both":
-            _cross_validate(prob, fem_list, sec_list, cross_rtol, zero_floor, notes)
-        use = fem_list if fem_list is not None else sec_list
-        pos_entries = [e for e in use.entries if e.value > zero_floor]
-        tiny = [e for e in use.entries if e.value <= zero_floor]
-        if fem_list is not None:
-            numeric_zeros += len(tiny) * prob.multiplicity
-            if len(tiny) != kernel.dim:
-                raise ZeroModeMismatchError(
-                    f"{prob.label}: {len(tiny)} numerically tiny eigenvalues vs "
-                    f"analytic kernel dimension {kernel.dim}"
-                )
+        kernel_dim = first_order_kernel(prob).dim
+        zero_count += kernel_dim * prob.multiplicity
+        if method == "secular":
+            pos_entries = transfer_spectrum(prob, lam_max).entries
         else:
-            numeric_zeros += kernel.dim * prob.multiplicity
+            fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=want_fields)
+            pos_entries = _positive_entries(prob, fem_list, kernel_dim, zero_floor)
+            if method == "both":
+                fem_vals = [e.value for e in pos_entries]
+                _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values(), cross_rtol)
+            if want_fields and fem_list.meta.get("fields"):
+                for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
+                    fields[(prob.label, e.index)] = fld
         entries.extend(pos_entries)
         entries.extend(
-            Eigenvalue(value=0.0, problem=prob, index=i, method="exact") for i in range(kernel.dim)
-        )
-        if want_fields and fem_list is not None and fem_list.meta.get("fields"):
-            for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
-                fields[(prob.label, e.index)] = fld
-    if numeric_zeros != analytic_zeros:
-        raise ZeroModeMismatchError(
-            f"degree {p}: numeric zero modes {numeric_zeros} != analytic {analytic_zeros}"
+            Eigenvalue(value=0.0, problem=prob, index=i, method="exact") for i in range(kernel_dim)
         )
     return SpectrumResult(
         profile=profile,
@@ -151,79 +136,35 @@ def assemble_spectrum(
         degree=p,
         lam_max=lam_max,
         entries=sort_eigenvalues(entries),
-        zero_count=numeric_zeros,
-        analytic_zero_count=analytic_zeros,
+        zero_count=zero_count,
+        analytic_zero_count=zero_count,
         certificate=certificate,
         method=method,
         fields=fields,
-        meta={"notes": notes, "problems": len(problems)},
+        meta={"problems": len(problems)},
     )
 
 
-def _cross_validate(prob, fem_list: EigList, sec_list: EigList, rtol, zero_floor, notes):
-    from .radial.transfer import confirm_even_root, locate_roots_in_window
-
-    fem_pos = [e.value for e in fem_list.entries if e.value > zero_floor]
-    sec_pos = sorted(e.value for e in sec_list.entries if e.value > zero_floor)
-    if len(fem_pos) != len(sec_pos):
-        # sign scanning misses even-order roots; re-bracket around the FEM
-        # values, then fall back to confirming an exactly even root
-        missing = _unmatched(fem_pos, sec_pos, rtol=1e-4)
-        for cluster in _cluster(missing, rel_gap=1e-3):
-            lo = cluster[0] * (1.0 - 5e-3)
-            hi = cluster[-1] * (1.0 + 5e-3)
-            roots = [r for r in locate_roots_in_window(prob, lo, hi, len(cluster)) if not _near(r, sec_pos, 1e-7)]
-            if len(roots) >= len(cluster):
-                sec_pos.extend(sorted(roots)[: len(cluster)])
-                notes.append(f"{prob.label}: {len(cluster)} roots re-bracketed near {cluster[0]:.6g}")
-            elif len(cluster) == 2:
-                root = confirm_even_root(prob, lo, hi)
-                if root is None:
-                    raise SolverDisagreementError(
-                        f"{prob.label}: FEM pair near {cluster[0]} has no secular counterpart"
-                    )
-                sec_pos.extend([root, root])
-                notes.append(f"{prob.label}: double root confirmed at {root:.9g}")
-            else:
-                raise SolverDisagreementError(
-                    f"{prob.label}: cannot account for FEM cluster {cluster} in the secular scan"
-                )
-        sec_pos.sort()
-    if len(fem_pos) != len(sec_pos):
-        raise SolverDisagreementError(
-            f"{prob.label}: secular found {len(sec_pos)} eigenvalues, FEM {len(fem_pos)}"
+def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, zero_floor: float) -> list:
+    """FEM entries above zero_floor, once the tiny ones match the analytic kernel."""
+    tiny = sum(e.value <= zero_floor for e in fem_list.entries)
+    if tiny != kernel_dim:
+        raise ZeroModeMismatchError(
+            f"{prob.label}: {tiny} numerically tiny eigenvalues vs analytic kernel dimension {kernel_dim}"
         )
-    for i, (a, b) in enumerate(zip(fem_pos, sec_pos)):
+    return [e for e in fem_list.entries if e.value > zero_floor]
+
+
+def _cross_validate(prob, fem_vals, sec_vals, rtol):
+    if len(fem_vals) != len(sec_vals):
+        raise SolverDisagreementError(
+            f"{prob.label}: secular found {len(sec_vals)} eigenvalues, FEM {len(fem_vals)}"
+        )
+    for i, (a, b) in enumerate(zip(fem_vals, sec_vals)):
         if abs(a - b) > rtol * max(abs(a), abs(b), 1e-3):
             raise SolverDisagreementError(
                 f"{prob.label}: eigenvalue {i} disagrees: fem {a} vs secular {b}"
             )
-
-
-def _unmatched(fem_vals, sec_vals, rtol):
-    pool = list(sec_vals)
-    out = []
-    for v in fem_vals:
-        hit = next((i for i, w in enumerate(pool) if abs(w - v) <= rtol * max(v, w)), None)
-        if hit is None:
-            out.append(v)
-        else:
-            pool.pop(hit)
-    return out
-
-
-def _cluster(values, rel_gap):
-    groups: list[list[float]] = []
-    for v in sorted(values):
-        if groups and v - groups[-1][-1] <= rel_gap * max(v, 1e-6):
-            groups[-1].append(v)
-        else:
-            groups.append([v])
-    return groups
-
-
-def _near(value, pool, rtol):
-    return any(abs(value - w) <= rtol * max(value, w) for w in pool)
 
 
 # ---------------------------------------------------------------------------
@@ -254,35 +195,32 @@ def exact_form_spectrum(
     lam_max: float,
     mesh: MeshSpec | None = None,
     source: MultiplicitySource = CLOSED_FORM,
-    match_rtol: float = 1e-4,
 ) -> np.ndarray:
     """Positive eigenvalues on exact p-forms (with multiplicity) below lam_max.
 
-    Built from the supersymmetry pairing: exact-p eigenvalues are the coexact
-    (p-1)-eigenvalues, and the coexact part of a degree is its positive
-    spectrum minus the exact part (a tolerance multiset difference).  For
-    p = 1 this is simply the positive spectrum on functions.
+    Exact p-eigenvalues are the coexact (p-1)-eigenvalues, and the coexact
+    forms of degree p-1 are labelled by the channel structure: the coclosed
+    alpha slots of degree p-1 (MINUS_HALF and exceptional) and, through the
+    PLUS_HALF pairing, the closed MINUS_HALF beta slots of degree p.  This is
+    the positive FEM spectrum of those scalar problems; their zero modes are
+    checked against the analytic kernel and dropped.  For p = 1 it is the
+    positive spectrum on functions.
     """
     if p < 1:
         raise DomainError("exact forms need p >= 1")
-    coexact = assemble_spectrum(profile, n, 0, lam_max, "fem", mesh, source).positive_values()
-    for q in range(1, p):
-        full = assemble_spectrum(profile, n, q, lam_max, "fem", mesh, source).positive_values()
-        coexact = _multiset_difference(full, coexact, match_rtol)
-    return coexact
-
-
-def _multiset_difference(full: np.ndarray, remove: np.ndarray, rtol: float) -> np.ndarray:
-    out = list(full)
-    for v in remove:
-        best, best_idx = None, None
-        for i, w in enumerate(out):
-            d = abs(w - v)
-            if d <= rtol * max(v, w, 1e-6) and (best is None or d < best):
-                best, best_idx = d, i
-        if best_idx is not None:
-            out.pop(best_idx)
-    return np.array(out)
+    mesh = mesh or MeshSpec()
+    zero_floor = ZERO_THRESHOLD_REL * lam_max
+    alpha = degree_problems(profile, n, p - 1, lam_max, source)[0]
+    beta = degree_problems(profile, n, p, lam_max, source)[0]
+    problems = [pr for pr in alpha if pr.slots == (ALPHA,)] + [
+        pr for pr in beta if pr.slots == (BETA,) and pr.block.family is Family.MINUS_HALF
+    ]
+    out: list[float] = []
+    for prob in problems:
+        fem_list = fem_spectrum(prob, mesh, lam_max)
+        for e in _positive_entries(prob, fem_list, first_order_kernel(prob).dim, zero_floor):
+            out.extend([e.value] * prob.multiplicity)
+    return np.array(sorted(out))
 
 
 def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, lam_start=25.0) -> float:
@@ -542,7 +480,7 @@ def sweep_epsilon(
     With jobs > 1 the per-epsilon work runs in a process pool; every task is a
     pure function, so the aggregated report is identical for any job count.
     """
-    if sorted(epsilons, reverse=True) != list(epsilons):
+    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilons must be strictly decreasing")
     mesh = mesh or MeshSpec()
     rows: list[SweepRow] = []

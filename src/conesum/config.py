@@ -204,7 +204,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         raise ConfigError(f"config schema violation: {exc.message}") from exc
     if merged["solver"]["fem_order"] != 2:
         raise ConfigError("only quadratic elements (fem_order = 2) are implemented")
-    if sorted(merged["epsilons"], reverse=True) != merged["epsilons"]:
+    eps = merged["epsilons"]
+    if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
     n = merged["n"]
     for p in merged["degrees"]:

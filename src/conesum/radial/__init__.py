@@ -1,6 +1,5 @@
 """Radial eigenproblem solvers: Bessel secular method, FEM, and oracles."""
 
-from .bessel import BesselPair, bessel_pair, wronskian_defect
 from .fem import FemField, MeshSpec, fem_spectrum, make_mesh, refine_mesh
 from .firstorder import analytic_zero_modes, first_order_kernel
 from .problems import ChannelProblem, Eigenvalue, EigList, degree_problems
@@ -8,9 +7,6 @@ from .sturm import sturm_liouville_oracle
 from .transfer import channel_fundamental, secular_value, transfer_spectrum
 
 __all__ = [
-    "BesselPair",
-    "bessel_pair",
-    "wronskian_defect",
     "FemField",
     "MeshSpec",
     "fem_spectrum",

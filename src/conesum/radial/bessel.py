@@ -1,106 +1,20 @@
-"""Bessel functions J_nu, Y_nu of real order, with scaled out-of-range exits.
+"""Bessel functions J_nu, Y_nu of real order and their derivatives.
 
 Evaluation is delegated to scipy.special (series / asymptotics / recurrences
-with well-tested switchovers).  The documented range is 0 <= nu <= NU_MAX and
-0 < x <= X_MAX; there J is accurate to ~1e-10 relative and Y to ~1e-8, and
-the Wronskian identity J Y' - J' Y = 2/(pi x) holds to 1e-10 relative.
-
-Deep in the small-x / large-nu corner scipy under- or overflows double
-precision; instead of failing, :func:`bessel_pair` falls back to mpmath and
-returns mantissa/exponent pairs (value, exp10) with true value
-= value * 10**exp10.
+with well-tested switchovers).  For 0 <= nu <= 250 and 0 < x <= 1e5, J is
+accurate to ~1e-10 relative and Y to ~1e-8, and the Wronskian identity
+J Y' - J' Y = 2/(pi x) holds to 1e-10 relative.  There is no scaled
+fallback: deep in the small-x / large-nu corner the values under- or
+overflow double precision.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import special as sp
 
-from ..errors import DomainError
-
-NU_MAX = 250.0
-X_MAX = 1.0e5
-
-_TINY = 1e-280
-_HUGE = 1e280
-
-
-@dataclass(frozen=True)
-class ScaledValue:
-    """A number too extreme for a float, as value * 10**exp10."""
-
-    value: float
-    exp10: int
-
-    def __float__(self):
-        return self.value * 10.0 ** self.exp10
-
-
-@dataclass(frozen=True)
-class BesselPair:
-    """J_nu(x), Y_nu(x) and their x-derivatives; fields may be ScaledValue."""
-
-    j: float | ScaledValue
-    y: float | ScaledValue
-    jp: float | ScaledValue
-    yp: float | ScaledValue
-    scaled: bool = False
-
-
-def _mp_scaled(fn, nu, x) -> ScaledValue:
-    import mpmath as mp
-
-    with mp.workdps(30):
-        v = fn(mp.mpf(nu), mp.mpf(x))
-        if v == 0:
-            return ScaledValue(0.0, 0)
-        e = int(mp.floor(mp.log10(abs(v))))
-        return ScaledValue(float(v / mp.mpf(10) ** e), e)
-
-
-def _mp_pair(nu: float, x: float) -> BesselPair:
-    import mpmath as mp
-
-    dj = lambda n_, x_: (mp.besselj(n_ - 1, x_) - mp.besselj(n_ + 1, x_)) / 2
-    dy = lambda n_, x_: (mp.bessely(n_ - 1, x_) - mp.bessely(n_ + 1, x_)) / 2
-    return BesselPair(
-        j=_mp_scaled(mp.besselj, nu, x),
-        y=_mp_scaled(mp.bessely, nu, x),
-        jp=_mp_scaled(dj, nu, x),
-        yp=_mp_scaled(dy, nu, x),
-        scaled=True,
-    )
-
-
-def bessel_pair(nu: float, x: float) -> BesselPair:
-    """J_nu(x), Y_nu(x), J_nu'(x), Y_nu'(x) for real nu >= 0, x > 0."""
-    if not 0.0 <= nu <= NU_MAX:
-        raise DomainError(f"order must satisfy 0 <= nu <= {NU_MAX}, got {nu}")
-    if not 0.0 < x <= X_MAX:
-        raise DomainError(f"argument must satisfy 0 < x <= {X_MAX}, got {x}")
-    with np.errstate(all="ignore"):
-        vals = (sp.jv(nu, x), sp.yv(nu, x), sp.jvp(nu, x), sp.yvp(nu, x))
-    finite = all(math.isfinite(v) for v in vals)
-    in_range = all(abs(v) < _HUGE for v in vals) and (abs(vals[0]) > _TINY or vals[0] == 0.0)
-    if finite and in_range and not (vals[0] == 0.0 and x < 1.0):
-        return BesselPair(*vals)
-    return _mp_pair(nu, x)
-
 
 def jy_arrays(nu: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized (J, Y, J', Y') without the scaled fallback; x must be in range."""
+    """Vectorized (J, Y, J', Y') of order nu at the points x."""
     x = np.asarray(x, dtype=float)
     return sp.jv(nu, x), sp.yv(nu, x), sp.jvp(nu, x), sp.yvp(nu, x)
-
-
-def wronskian_defect(nu: float, x: float) -> float:
-    """Relative defect of J Y' - J' Y against 2/(pi x); diagnostic for tests."""
-    p = bessel_pair(nu, x)
-    if p.scaled:
-        raise DomainError("wronskian check only supported in the unscaled range")
-    w = p.j * p.yp - p.jp * p.y
-    target = 2.0 / (math.pi * x)
-    return abs(w - target) / abs(target)

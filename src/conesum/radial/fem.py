@@ -347,4 +347,4 @@ def fem_spectrum(
             fld.coeffs = coeffs / norm
             fields.append(fld)
     meta = {"nodes": len(nodes2), "fields": fields if want_vectors else None}
-    return EigList(entries=entries, suspects=[], meta=meta)
+    return EigList(entries=entries, meta=meta)

@@ -8,7 +8,10 @@ operator:
     contributes a scalar problem -u'' + c u / f^2 = lam u with
     c = gamma (gamma + 1) shared by the block's gamma pair;
   * a PLUS_HALF block has both slots in degree q+1 and contributes a coupled
-    2x2 system whose potential matrix is the block of A^2 + A;
+    2x2 system whose potential matrix is the block of A^2 + A.  FEM solves it
+    as such; its positive spectrum is also the union of the spectra of the
+    two MINUS_HALF single slots of the same mode (``slot_problems``), which
+    is what the secular solver uses;
   * the harmonic sphere modes contribute 1x1 exceptional channels in degrees
     0, 1, n, n+1.
 
@@ -32,7 +35,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..cone_operator import ALPHA, BETA, ABlock, enumerate_blocks
+from ..cone_operator import ALPHA, BETA, ABlock, build_blocks, enumerate_blocks
 from ..errors import DomainError, EnumerationError
 from ..geometry import BCKind, Profile, Segment
 from ..sphere_modes import CLOSED_FORM, MultiplicitySource
@@ -73,28 +76,37 @@ class ChannelProblem:
         idx = np.asarray(self.slot_indices)
         return self.block.aa_matrix[np.ix_(idx, idx)]
 
-    @cached_property
-    def eigvecs(self) -> np.ndarray:
-        """Eigenvectors of the active A-block (columns; only meaningful for size 2)."""
-        if self.size == 2:
-            return self.block.eigvecs
-        return np.array([[1.0]])
+    @property
+    def nu(self) -> float:
+        """Bessel order |gamma + 1/2| of a scalar problem, from c = gamma (gamma + 1)."""
+        if self.size != 1:
+            raise DomainError(f"{self.label} is coupled: solve its slot_problems() instead")
+        return math.sqrt(float(self.potential[0, 0]) + 0.25)
 
-    @cached_property
-    def gammas(self) -> tuple[float, ...]:
-        """Gamma labels aligned with ``eigvecs`` columns."""
-        if self.size == 2:
-            return self.block.gammas
-        # scalar slot: the radial operator only sees gamma (gamma + 1)
-        c = float(self.potential[0, 0])
-        return (-0.5 + math.sqrt(c + 0.25),)
+    def slot_problems(self) -> tuple["ChannelProblem", ...]:
+        """Scalar problems carrying the positive spectrum of this problem.
 
-    @cached_property
-    def nus(self) -> tuple[float, ...]:
-        """Bessel orders |gamma + 1/2| aligned with ``gammas``."""
-        if self.size == 2:
-            return tuple(abs(g + 0.5) for g in self.block.gammas)
-        return (math.sqrt(float(self.potential[0, 0]) + 0.25),)
+        A scalar problem is its own slot problem.  A coupled PLUS_HALF problem
+        in degree q+1 is intertwined by d and d* with the two single slots of
+        its mode's MINUS_HALF block: the coclosed alpha slot in degree q and
+        the closed beta slot in degree q+2, whose spectra together make up
+        its positive spectrum.  That pairing needs d and d* to preserve the
+        boundary conditions, which holds at absolute ends and regular tips
+        only; other ends raise DomainError.
+        """
+        if self.size == 1:
+            return (self,)
+        bcs = {self.profile.start_bc, self.profile.end_bc}
+        if not bcs <= {BCKind.ABSOLUTE, BCKind.REGULAR_TIP}:
+            raise DomainError(
+                f"{self.label}: no scalar slot reduction with "
+                f"{self.profile.start_bc.value}/{self.profile.end_bc.value} ends"
+            )
+        minus = build_blocks(self.block.mode)[0]
+        return tuple(
+            ChannelProblem(self.profile, self.n, minus.degrees[i], minus, (i,), self.multiplicity)
+            for i in range(2)
+        )
 
     def orientation_signs(self, orientation: int) -> np.ndarray:
         """Diagonal D_o mapping global continuous variables to local ones."""
@@ -227,7 +239,6 @@ class EigList:
     """Sorted eigenvalues of one problem or an assembled union of problems."""
 
     entries: list[Eigenvalue]
-    suspects: list[tuple[float, float]] | None = None  # brackets needing adjudication
     meta: dict | None = None
 
     def __post_init__(self):

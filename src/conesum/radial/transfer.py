@@ -1,18 +1,22 @@
-"""Secular-equation eigenvalue solver: analytic bases per segment, matched at seams.
+"""Secular-equation eigenvalue solver for scalar channels: analytic bases per
+segment, matched at seams.
 
 On a segment with local cone radius r the channel equation
 -u'' + gamma(gamma+1) u / r^2 = lam u has the exact solution basis
 sqrt(r) J_nu(k r), sqrt(r) Y_nu(k r) with k = sqrt(lam) and nu = |gamma+1/2|
-(power laws r^(1/2 +- nu) at lam = 0).  A basis of states admissible at the
-left end of the profile and one admissible at the right end are propagated
-to an interior matching breakpoint, applying the derivative-jump matrices at
-each crossed seam; eigenvalues are the lam where the two solution spaces
-intersect, i.e. the zeros of the determinant of the stacked state matrix.
+(power laws r^(1/2 +- nu) at lam = 0).  The state (u, u') admissible at the
+left end of the profile and the one admissible at the right end are
+propagated to an interior matching breakpoint, applying the derivative jump
+at each crossed seam; eigenvalues are the lam where the two states are
+parallel, i.e. the zeros of their 2x2 determinant.
 
-Propagation never steps inside a segment: coefficients are obtained from the
-entry state by a 2x2 solve per gamma-channel and evaluated at the exit, with
-column renormalisation between segments so that the enormous dynamic range
-of Bessel functions across small radii cannot overflow.
+Only scalar problems are solved.  A coupled PLUS_HALF problem is handed to
+:func:`transfer_spectrum` as its two single-slot problems
+(``ChannelProblem.slot_problems``), whose merged spectrum is its positive
+spectrum; :func:`secular_value` rejects it.  Propagation never steps inside a
+segment: the basis coefficients of the entry state come from one 2x2 solve
+and are evaluated at the exit, with renormalisation between segments so that
+the dynamic range of Bessel functions across small radii cannot overflow.
 """
 
 from __future__ import annotations
@@ -27,8 +31,6 @@ from ..errors import DomainError
 from ..geometry import BCKind
 from .bessel import jy_arrays
 from .problems import ChannelProblem, Eigenvalue, EigList
-
-DIP_FACTOR = 1e-3  # |secular| dip (vs scan median) flagged for FEM adjudication
 
 
 @dataclass(frozen=True)
@@ -83,114 +85,69 @@ def _fundamental_matrix(nu: float, k: float, r: np.ndarray) -> np.ndarray:
 
 
 class _Propagator:
-    """Per-lambda state propagation for one channel problem."""
+    """Per-lambda propagation of a scalar channel state (u, du/dt) in global t.
+
+    Orientation flips of BETA slots multiply the whole state by -1, which
+    commutes with the linear maps below, so only the t-versus-r sign of the
+    derivative enters.
+    """
 
     def __init__(self, problem: ChannelProblem, lam: float):
         self.p = problem
-        self.lam = lam
         self.k = math.sqrt(lam) if lam > 0 else 0.0
-        self.size = problem.size
-        self.V = problem.eigvecs
-        self.nus = problem.nus
+        self.nu = problem.nu
         self.seam_ks = problem.seam_matrices()
 
-    def segment_map(self, states: np.ndarray, seg_idx: int, entry: str) -> np.ndarray:
-        """Map global states (2*size, m) across a segment from one end to the other."""
+    def segment_map(self, state: np.ndarray, seg_idx: int, entry: str) -> np.ndarray:
+        """Map a state across a segment from one end to the other."""
         seg = self.p.profile.segments[seg_idx]
-        o = seg.orientation
-        r_from = seg.radius_at_entry() if entry == "entry" else seg.radius_at_exit()
-        r_to = seg.radius_at_exit() if entry == "entry" else seg.radius_at_entry()
-        d = self.p.orientation_signs(o)
-        m = states.shape[1]
-        vals, ders = states[: self.size], states[self.size :]
-        # local block-eigen coordinates
-        w = self.V.T @ (d[:, None] * vals)
-        wp = self.V.T @ (d[:, None] * ders) * o
-        w_to = np.empty_like(w)
-        wp_to = np.empty_like(wp)
-        for j in range(self.size):
-            m_from = _fundamental_matrix(self.nus[j], self.k, np.array([r_from]))[0]
-            m_to = _fundamental_matrix(self.nus[j], self.k, np.array([r_to]))[0]
-            scale = np.abs(m_from).max(axis=0)
-            scale[scale == 0] = 1.0
-            coeff = np.linalg.solve(m_from / scale, np.vstack([w[j], wp[j]]))
-            res = (m_to / scale) @ coeff
-            w_to[j], wp_to[j] = res[0], res[1]
-        vals_to = d[:, None] * (self.V @ w_to)
-        ders_to = d[:, None] * (self.V @ wp_to) * o
-        return np.vstack([vals_to, ders_to])
+        r_from, r_to = seg.radius_at_entry(), seg.radius_at_exit()
+        if entry != "entry":
+            r_from, r_to = r_to, r_from
+        m_from, m_to = _fundamental_matrix(self.nu, self.k, np.array([r_from, r_to]))
+        scale = np.abs(m_from).max(axis=0)
+        scale[scale == 0] = 1.0
+        flip = np.array([1.0, float(seg.orientation)])
+        coeff = np.linalg.solve(m_from / scale, flip * state)
+        return flip * ((m_to / scale) @ coeff)
 
-    def regular_states(self, seg_idx: int, at: str) -> np.ndarray:
-        """States of the tip-regular branches of a tip segment at its far end."""
+    def regular_state(self, seg_idx: int, at: str) -> np.ndarray:
+        """State of the tip-regular branch (J; r^(1/2+nu) at lam = 0) at a tip segment's far end."""
         seg = self.p.profile.segments[seg_idx]
-        o = seg.orientation
         r_eval = seg.radius_at_exit() if at == "exit" else seg.radius_at_entry()
-        d = self.p.orientation_signs(o)
-        cols = []
-        for j in range(self.size):
-            mat = _fundamental_matrix(self.nus[j], self.k, np.array([r_eval]))[0]
-            if self.k == 0.0:
-                idx = 0  # r^(1/2+nu) column
-            else:
-                idx = 0  # J column
-            w = np.zeros(self.size)
-            wp = np.zeros(self.size)
-            w[j], wp[j] = mat[0, idx], mat[1, idx]
-            vals = d * (self.V @ w)
-            ders = d * (self.V @ wp) * o
-            cols.append(np.concatenate([vals, ders]))
-        return np.array(cols).T
+        mat = _fundamental_matrix(self.nu, self.k, np.array([r_eval]))[0]
+        return np.array([mat[0, 0], seg.orientation * mat[1, 0]])
 
-    def jump(self, states: np.ndarray, seam_idx: int, direction: int) -> np.ndarray:
+    def jump(self, state: np.ndarray, seam_idx: int, direction: int) -> np.ndarray:
         """Apply the seam derivative jump crossing rightward (+1) or leftward (-1)."""
         K = self.seam_ks[seam_idx]
         if K is None:
-            return states
-        out = states.copy()
-        out[self.size :] += direction * (K @ states[: self.size])
-        return out
+            return state
+        return np.array([state[0], state[1] + direction * K[0, 0] * state[0]])
 
-    def boundary_states(self, which: str) -> np.ndarray:
-        """Columns spanning the admissible states at an exposed endpoint."""
+    def boundary_state(self, which: str) -> np.ndarray:
+        """The admissible state at an exposed endpoint."""
         data = self.p.endpoint(which)
-        size = self.size
-        cons = [np.asarray(c, dtype=float) for c in data.constraints]
-        if cons:
-            cmat = np.vstack(cons)
-            q, _ = np.linalg.qr(cmat.T, mode="complete")
-            ncon = np.linalg.matrix_rank(cmat)
-            normals = q[:, :ncon] if ncon else np.zeros((size, 0))
-            free = q[:, ncon:]
-        else:
-            normals = np.zeros((size, 0))
-            free = np.eye(size)
-        proj = np.eye(size) - normals @ normals.T
-        k_e = data.k_matrix if data.k_matrix is not None else np.zeros((size, size))
-        sign = 1.0 if which == "start" else -1.0
-        cols = []
-        for i in range(free.shape[1]):
-            v = free[:, i]
-            cols.append(np.concatenate([v, sign * proj @ (k_e @ v)]))
-        for i in range(normals.shape[1]):
-            cols.append(np.concatenate([np.zeros(size), normals[:, i]]))
-        return np.array(cols).T
+        if data.constraints:
+            return np.array([0.0, 1.0])
+        k_e = 0.0 if data.k_matrix is None else float(data.k_matrix[0, 0])
+        return np.array([1.0, (1.0 if which == "start" else -1.0) * k_e])
 
 
-def _normalize_columns(states: np.ndarray) -> np.ndarray:
-    scale = np.abs(states).max(axis=0)
-    scale[scale == 0] = 1.0
-    return states / scale
+def _normalize(state: np.ndarray) -> np.ndarray:
+    scale = np.abs(state).max()
+    return state / scale if scale else state
 
 
 def secular_value(problem: ChannelProblem, lam: float, raw: bool = False) -> float:
-    """Normalized secular determinant; zero exactly at eigenvalues.
+    """Normalized secular determinant of a scalar problem; zero exactly at eigenvalues.
 
     States are tracked per breakpoint with a side convention: the seam jump
     at an interior breakpoint maps the limit from the left segment to the
     limit from the right segment.  By default the determinant is compressed
-    by its matrix-size-th root to tame the dynamic range during scanning;
-    ``raw=True`` keeps the plain determinant (quadratic near double roots),
-    which the even-order confirmation relies on.
+    by its square root to tame the dynamic range during scanning;
+    ``raw=True`` keeps the plain determinant.  A coupled problem raises
+    DomainError: solve its ``slot_problems()`` instead.
     """
     prop = _Propagator(problem, lam)
     profile = problem.profile
@@ -201,39 +158,43 @@ def secular_value(problem: ChannelProblem, lam: float, raw: bool = False) -> flo
 
     # left branch, ending at breakpoint `match` seen from the left segment
     if profile.start_bc is BCKind.REGULAR_TIP:
-        left = prop.regular_states(0, "exit")
+        left = prop.regular_state(0, "exit")
         cur, on_left_side = 1, True
     else:
-        left = prop.boundary_states("start")
+        left = prop.boundary_state("start")
         cur, on_left_side = 0, False
     while cur < match:
         if on_left_side:
             left = prop.jump(left, cur - 1, +1)
-        left = _normalize_columns(prop.segment_map(left, cur, "entry"))
+        left = _normalize(prop.segment_map(left, cur, "entry"))
         cur, on_left_side = cur + 1, True
 
     # right branch, ending at breakpoint `match` seen from the right segment
     if profile.end_bc is BCKind.REGULAR_TIP:
-        right = prop.regular_states(nseg - 1, "entry")
+        right = prop.regular_state(nseg - 1, "entry")
         cur, on_right_side = nseg - 1, True
     else:
-        right = prop.boundary_states("end")
+        right = prop.boundary_state("end")
         cur, on_right_side = nseg, False
     while cur > match:
         if on_right_side:
             right = prop.jump(right, cur - 1, -1)
-        right = _normalize_columns(prop.segment_map(right, cur - 1, "exit"))
+        right = _normalize(prop.segment_map(right, cur - 1, "exit"))
         cur, on_right_side = cur - 1, True
 
     if 1 <= match <= nseg - 1:
         left = prop.jump(left, match - 1, +1)
 
-    full = np.hstack([_normalize_columns(left), _normalize_columns(right)])
+    full = np.column_stack([_normalize(left), _normalize(right)])
     sign, logdet = np.linalg.slogdet(full)
     if sign == 0:
         return 0.0
-    power = 1.0 if raw else full.shape[0]
+    power = 1.0 if raw else 2.0
     return float(sign * math.exp(max(min(logdet / power, 600.0), -600.0)))
+
+
+# Neither root finder below is called by the solver; both stay
+# defined because perfbench/tracer.py wraps them by name.
 
 
 def locate_roots_in_window(
@@ -279,55 +240,51 @@ def confirm_even_root(
     return float(res.x) if res.fun <= depth_tol * edge else None
 
 
+def _scalar_roots(
+    problem: ChannelProblem, grid: np.ndarray, lam_max: float, refine_rtol: float
+) -> list[tuple[float, tuple[float, float]]]:
+    """(lam, k-bracket squared) of each sign change of the secular scan over ``grid``."""
+    vals = [secular_value(problem, float(k) ** 2) for k in grid]
+    out = []
+    for a, b, fa, fb in zip(grid[:-1], grid[1:], vals, vals[1:]):
+        a, b = float(a), float(b)
+        if fa == 0.0:
+            root = a
+        elif fa * fb < 0:
+            root = brentq(lambda k: secular_value(problem, k * k), a, b, xtol=refine_rtol, rtol=1e-15)
+        else:
+            continue
+        if root * root <= lam_max:
+            out.append((root * root, (a * a, b * b)))
+    return out
+
+
 def transfer_spectrum(
     problem: ChannelProblem,
     lam_max: float,
     oversample: int = 8,
     refine_rtol: float = 1e-13,
 ) -> EigList:
-    """Eigenvalues in (0, lam_max] of one channel problem by secular root search.
+    """Positive eigenvalues in (0, lam_max] of one channel problem by secular root search.
 
-    The k = sqrt(lam) grid step is calibrated to the Weyl spacing pi/L of the
-    profile; sign changes are bisected with brentq and magnitude dips without
-    a sign change are reported as suspects for FEM adjudication.  Zero modes
-    are counted analytically elsewhere and not reported here.
+    A coupled problem is solved as its two scalar slot problems and the
+    merged entries keep ``problem`` as their provenance.  The k = sqrt(lam)
+    grid step is calibrated to the Weyl spacing pi/L of the profile and sign
+    changes are bisected with brentq.  Zero modes are counted analytically
+    elsewhere and not reported here.
     """
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    length = problem.profile.length
-    dk = math.pi / (length * oversample)
+    dk = math.pi / (problem.profile.length * oversample)
     kmax = math.sqrt(lam_max)
     grid = np.arange(dk, kmax + dk, dk)
     if len(grid) < 2:
         grid = np.linspace(dk / 4, kmax, 8)
-    vals = np.array([secular_value(problem, float(k) ** 2) for k in grid])
-
-    entries: list[Eigenvalue] = []
-    suspects: list[tuple[float, float]] = []
-    scale = np.median(np.abs(vals)[np.abs(vals) > 0]) if np.any(np.abs(vals) > 0) else 1.0
-    idx = 0
-    for i in range(len(grid) - 1):
-        a, b = float(grid[i]), float(grid[i + 1])
-        fa, fb = float(vals[i]), float(vals[i + 1])
-        if fa == 0.0:
-            root = a
-        elif fa * fb < 0:
-            root = brentq(lambda k: secular_value(problem, k * k), a, b, xtol=refine_rtol, rtol=1e-15)
-        else:
-            # magnitude dip without sign change: possible double root
-            if 0 < i < len(grid) - 1 and abs(fa) < DIP_FACTOR * scale and abs(fa) < abs(vals[i - 1]) and abs(fa) <= abs(fb):
-                suspects.append((grid[i - 1] ** 2, b * b))
-            continue
-        lam = root * root
-        if lam <= lam_max:
-            entries.append(
-                Eigenvalue(
-                    value=lam,
-                    problem=problem,
-                    index=idx,
-                    method="secular",
-                    bracket=(a * a, b * b),
-                )
-            )
-            idx += 1
-    return EigList(entries=entries, suspects=suspects, meta={"grid_dk": dk})
+    roots = sorted(
+        root for slot in problem.slot_problems() for root in _scalar_roots(slot, grid, lam_max, refine_rtol)
+    )
+    entries = [
+        Eigenvalue(value=lam, problem=problem, index=i, method="secular", bracket=bracket)
+        for i, (lam, bracket) in enumerate(roots)
+    ]
+    return EigList(entries=entries, meta={"grid_dk": dk})

@@ -119,11 +119,17 @@ def test_exact_forms_recursion():
     e1 = exact_form_spectrum(prof, 2, 1, 30.0, MESH)
     p0 = assemble_spectrum(prof, 2, 0, 30.0, mesh=MESH).positive_values()
     assert e1 == pytest.approx(p0, rel=1e-9)
-    # exact 2-forms: coexact 1-forms, a strict subset of the 1-form spectrum
     e2 = exact_form_spectrum(prof, 2, 2, 30.0, MESH)
-    p1 = assemble_spectrum(prof, 2, 1, 30.0, mesh=MESH).positive_values()
-    assert len(e2) == len(p1) - len(p0)
     assert first_positive_exact(prof, 2, 2, MESH) == pytest.approx(e2[0], rel=1e-9)
+    # each positive p-eigenvalue is exact or coexact, and coexact p is exact p+1
+    for prof in (spindle(1.0), geo.annulus(1.0, 2.0)):
+        for n in (2, 3):
+            exact = {p: exact_form_spectrum(prof, n, p, 30.0, MESH) for p in range(1, n + 2)}
+            for p in range(1, n + 1):
+                full = assemble_spectrum(prof, n, p, 30.0, mesh=MESH).positive_values()
+                split = np.sort(np.concatenate([exact[p], exact[p + 1]]))
+                assert len(split) == len(full), (n, p)
+                assert split == pytest.approx(full, rel=1e-6)
 
 
 def test_annulus_has_no_middle_degree_zero_modes():
@@ -211,11 +217,12 @@ def test_sweep_parallel_matches_serial(small_sweep):
 
 
 def test_sweep_rejects_unsorted_epsilons():
-    with pytest.raises(DomainError):
-        sweep_epsilon(
-            m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0],
-            epsilons=[0.1, 0.2], lam_max=10.0, k_track=1,
-        )
+    for epsilons in ([0.1, 0.2], [0.1, 0.1]):
+        with pytest.raises(DomainError):
+            sweep_epsilon(
+                m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0],
+                epsilons=epsilons, lam_max=10.0, k_track=1,
+            )
 
 
 def test_boundary_diagnostics_values(small_sweep):

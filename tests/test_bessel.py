@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conesum.errors import DomainError
-from conesum.radial.bessel import ScaledValue, bessel_pair, wronskian_defect
+from conesum.radial.bessel import jy_arrays
 
 
 def bisect(f, a, b, steps=200):
@@ -20,18 +19,19 @@ def bisect(f, a, b, steps=200):
 
 def test_half_order_closed_form():
     # J_{1/2}(x) = sqrt(2/(pi x)) sin x, so J_{1/2}(pi) = 0
-    p = bessel_pair(0.5, math.pi)
-    assert abs(p.j) < 1e-12
-    x = 1.234
-    assert bessel_pair(0.5, x).j == pytest.approx(math.sqrt(2 / (math.pi * x)) * math.sin(x), rel=1e-12)
+    x = np.array([math.pi, 1.234])
+    j = jy_arrays(0.5, x)[0]
+    assert abs(j[0]) < 1e-12
+    assert j[1] == pytest.approx(math.sqrt(2 / (math.pi * x[1])) * math.sin(x[1]), rel=1e-12)
 
 
 def test_first_zero_of_j_three_halves():
     # tan x = x locates the first zero of J_{3/2}
     x0 = bisect(lambda x: math.tan(x) - x, math.pi + 0.01, 1.5 * math.pi - 1e-9)
     assert x0 == pytest.approx(4.4934095, abs=1e-6)
-    assert abs(bessel_pair(1.5, 4.4934095).j) < 1e-7
-    assert abs(bessel_pair(1.5, x0).j) < 1e-12
+    j = jy_arrays(1.5, np.array([4.4934095, x0]))[0]
+    assert abs(j[0]) < 1e-7
+    assert abs(j[1]) < 1e-12
 
 
 @pytest.mark.parametrize(
@@ -39,27 +39,6 @@ def test_first_zero_of_j_three_halves():
     [(0.0, 0.3), (0.5, 2.0), (1.5, 4.49), (3.7, 0.08), (7.25, 30.0), (12.0, 1.0), (25.5, 80.0)],
 )
 def test_wronskian_identity(nu, x):
-    assert wronskian_defect(nu, x) < 1e-10
-
-
-def test_scaled_fallback_keeps_wronskian():
-    nu, x = 180.0, 0.05
-    p = bessel_pair(nu, x)
-    assert p.scaled
-    assert isinstance(p.j, ScaledValue) and p.j.exp10 < -300
-    assert isinstance(p.y, ScaledValue) and p.y.exp10 > 300
-    w = p.j.value * p.yp.value * 10.0 ** (p.j.exp10 + p.yp.exp10) - p.jp.value * p.y.value * 10.0 ** (
-        p.jp.exp10 + p.y.exp10
-    )
-    assert w == pytest.approx(2.0 / (math.pi * x), rel=1e-8)
-
-
-def test_domain_errors():
-    with pytest.raises(DomainError):
-        bessel_pair(-1.0, 1.0)
-    with pytest.raises(DomainError):
-        bessel_pair(1.0, 0.0)
-    with pytest.raises(DomainError):
-        bessel_pair(1.0, 1e9)
-    with pytest.raises(DomainError):
-        bessel_pair(300.0, 1.0)
+    j, y, jp, yp = jy_arrays(nu, np.array([x]))
+    target = 2.0 / (math.pi * x)
+    assert abs((j * yp - jp * y)[0] - target) / target < 1e-10

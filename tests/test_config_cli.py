@@ -45,6 +45,9 @@ def test_schema_rejections(tmp_path):
     bad.write_text(json.dumps({"epsilons": [0.1, 0.2]}))
     with pytest.raises(ConfigError):
         load_config(bad)
+    bad.write_text(json.dumps({"epsilons": [0.1, 0.1]}))
+    with pytest.raises(ConfigError):
+        load_config(bad)
     bad.write_text(json.dumps({"solver": {"fem_order": 3}}))
     with pytest.raises(ConfigError):
         load_config(bad)

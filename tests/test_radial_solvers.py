@@ -116,8 +116,12 @@ def test_constants_channel_zero_mode():
         geo.cone(1.0),
         geo.spindle(1.0),
         geo.connected_sum_profile(geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0), 0.1),
+        # FEM pair 7.2e-5 apart in p1:n2:q0:k2:plus_half near lam = 33.2175
+        geo.connected_sum_profile(geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0), 0.046),
+        geo.annulus(1.0, 2.0),
+        geo.truncated_spindle(2.0, 1.0),
     ],
-    ids=["cone", "spindle", "m_eps"],
+    ids=["cone", "spindle", "m_eps", "m_eps_0046", "annulus", "truncated_spindle"],
 )
 @pytest.mark.parametrize("p", [0, 1])
 def test_cross_method_agreement(profile, p):
@@ -125,6 +129,36 @@ def test_cross_method_agreement(profile, p):
 
     res = assemble_spectrum(profile, 2, p, 40.0, method="both", mesh=MESH)
     assert res.zero_count == res.analytic_zero_count
+
+
+@pytest.mark.parametrize("eps", [None, 0.025], ids=["m1", "m_eps_0025"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_secular_method_is_complete(eps, p):
+    # the secular solver alone returns the whole spectrum, not a subset of it
+    from conesum.analysis import assemble_spectrum
+
+    m1 = geo.spindle(1.0)
+    profile = m1 if eps is None else geo.connected_sum_profile(m1, geo.truncated_spindle(2.0, 1.0), eps)
+    fem = assemble_spectrum(profile, 2, p, 40.0, method="fem", mesh=MESH).positive_values()
+    sec = assemble_spectrum(profile, 2, p, 40.0, method="secular", mesh=MESH).positive_values()
+    assert len(sec) == len(fem) == 108
+    assert sec == pytest.approx(fem, rel=1e-6)
+
+
+def test_secular_solves_coupled_problems_through_slots():
+    prob = find_problem(geo.spindle(1.0), 2, 1, "q0:k1:plus_half")
+    with pytest.raises(DomainError):
+        secular_value(prob, 10.0)
+    alpha, beta = prob.slot_problems()
+    assert (alpha.degree, alpha.slots, beta.degree, beta.slots) == (0, ("alpha",), 2, ("beta",))
+    merged = np.sort(np.concatenate([transfer_spectrum(s, 40.0).values() for s in (alpha, beta)]))
+    eig = transfer_spectrum(prob, 40.0)
+    assert eig.values() == pytest.approx(merged, rel=1e-14)
+    assert all(e.problem is prob for e in eig.entries)
+    # the slot reduction needs boundary conditions that d and d* preserve
+    for profile in (geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS)):
+        with pytest.raises(DomainError):
+            transfer_spectrum(find_problem(profile, 2, 1, "q0:k1:plus_half"), 40.0)
 
 
 def test_spindle_first_positive_golden():
