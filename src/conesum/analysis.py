@@ -34,6 +34,7 @@ from .sphere_modes import CLOSED_FORM, MultiplicitySource
 
 ZERO_THRESHOLD_REL = 1e-8
 CROSS_RTOL = 1e-6
+FIRST_EXACT_WINDOW = 25.0  # first_positive_exact's initial lam_max at unit radius
 
 
 @dataclass(eq=False)
@@ -46,11 +47,9 @@ class SpectrumResult:
     lam_max: float
     entries: list[Eigenvalue]
     zero_count: int
-    analytic_zero_count: int
     certificate: dict
     method: str
     fields: dict = field(default_factory=dict)  # (problem label, index) -> FemField
-    meta: dict = field(default_factory=dict)
 
     def positive_values(self) -> np.ndarray:
         """Positive eigenvalues expanded with multiplicity, ascending."""
@@ -58,12 +57,6 @@ class SpectrumResult:
         for e in self.entries:
             if e.value > 0.0:
                 out.extend([e.value] * e.multiplicity)
-        return np.array(sorted(out))
-
-    def all_values(self) -> np.ndarray:
-        out: list[float] = []
-        for e in self.entries:
-            out.extend([e.value] * e.multiplicity)
         return np.array(sorted(out))
 
     def positive_entry(self, k: int) -> tuple[Eigenvalue, int]:
@@ -137,11 +130,9 @@ def assemble_spectrum(
         lam_max=lam_max,
         entries=sort_eigenvalues(entries),
         zero_count=zero_count,
-        analytic_zero_count=zero_count,
         certificate=certificate,
         method=method,
         fields=fields,
-        meta={"problems": len(problems)},
     )
 
 
@@ -223,9 +214,12 @@ def exact_form_spectrum(
     return np.array(sorted(out))
 
 
-def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, lam_start=25.0) -> float:
-    """First positive exact-p eigenvalue, enlarging the window as needed."""
-    lam_max = lam_start * max(1.0, 1.0 / profile.r_max**2)
+def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM) -> float:
+    """First positive exact-p eigenvalue, enlarging the window as needed.
+
+    For p = 0 this is the first positive eigenvalue on functions.
+    """
+    lam_max = FIRST_EXACT_WINDOW * max(1.0, 1.0 / profile.r_max**2)
     for _ in range(5):
         vals = (
             exact_form_spectrum(profile, n, p, lam_max, mesh, source)
@@ -288,12 +282,7 @@ def mcgowan_report(
         unit_u2 = u2.scaled(1.0 / eps)
         cache[key_u2] = first_positive_exact(unit_u2, n, p, mesh, source)
     if key_u12 not in cache:
-        unit_u12 = u12.scaled(1.0 / eps)
-        cache[key_u12] = (
-            first_positive_exact(unit_u12, n, p - 1, mesh, source)
-            if p - 1 >= 1
-            else assemble_spectrum(unit_u12, n, 0, 25.0, "fem", mesh, source).positive_values()[0]
-        )
+        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, source)
     mu2 = cache[key_u2] / eps**2
     mu12 = cache[key_u12] / eps**2
     c_rho_val = partition_gradient_constant(eps) if c_rho is None else c_rho

@@ -171,8 +171,6 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
             zero_threshold_rel=cfg.solver["zero_threshold_rel"],
             cap_factor=cfg.solver["cap_factor"],
         )
-        if res.zero_count != res.analytic_zero_count:
-            failures.append(f"zero-mode mismatch at p={p}")
         for i, e in enumerate(res.entries):
             mode = e.problem.block.mode
             rows.append(

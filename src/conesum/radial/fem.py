@@ -14,6 +14,12 @@ every seam is a mesh vertex so derivative jumps cost nothing in accuracy.
 
 Eigenvalues are extrapolated over two nested meshes (Richardson, order 4),
 which also supplies the per-eigenvalue convergence estimate.
+
+Each mesh gives one banded pencil K x = lam M x, and :func:`solve_pencil`
+returns every eigenvalue below a cap: Sylvester's law of inertia counts them
+exactly (spectrum slicing, Ericsson-Ruhe 1980), and one shift-invert ARPACK
+call computes that many.  It is the only eigensolver of the package; the
+Sturm-Liouville oracle uses it too.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
 
@@ -39,7 +44,7 @@ _N = np.stack(
 )  # (6, 3)
 _DN = np.stack([4 * _QX - 3, 4 - 8 * _QX, 4 * _QX - 1], axis=1)
 
-_DENSE_CUTOFF = 320
+CONV_RTOL = 1e-4  # largest accepted Richardson estimate, relative to max(|lam|, 1)
 
 
 @dataclass(frozen=True)
@@ -216,56 +221,69 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
 
 
 def _constraint_transform(npts: int, size: int, constraints: dict) -> sparse.csr_matrix:
-    """Sparse map from reduced to full dofs eliminating point constraints."""
-    cols = []
-    for p in range(npts):
-        if p not in constraints:
-            for a in range(size):
-                e = np.zeros(size)
-                e[a] = 1.0
-                cols.append((p, e))
-        else:
-            cmat = np.vstack(constraints[p])
-            q, _ = np.linalg.qr(cmat.T, mode="complete")
-            ncon = np.linalg.matrix_rank(cmat)
-            for j in range(ncon, size):
-                cols.append((p, q[:, j]))
-    data, ri, ci = [], [], []
-    for j, (p, vec) in enumerate(cols):
-        for a in range(size):
-            if vec[a] != 0.0:
-                ri.append(p * size + a)
-                ci.append(j)
-                data.append(vec[a])
-    return sparse.csr_matrix((data, (ri, ci)), shape=(npts * size, len(cols)))
+    """Sparse map from reduced to full dofs eliminating the endpoint constraints.
+
+    Constraints only sit at points 0 and npts-1, so the map is block
+    diagonal: a null-space basis of each end's constraint rows around an
+    identity on the interior dofs.
+    """
+
+    def end_basis(point: int) -> np.ndarray:
+        if point not in constraints:
+            return np.eye(size)
+        cmat = np.vstack(constraints[point])
+        q, _ = np.linalg.qr(cmat.T, mode="complete")
+        return q[:, np.linalg.matrix_rank(cmat) :]
+
+    blocks = [end_basis(0), sparse.identity((npts - 2) * size), end_basis(npts - 1)]
+    return sparse.block_diag(blocks, format="csr")
 
 
-def _solve_pencil(K, M, lam_cap: float, k_hint: int, want_vectors: bool):
+def solve_pencil(K, M, lam_cap: float, want_vectors: bool = False):
+    """All eigenvalues below lam_cap of the symmetric pencil K x = lam M x, ascending.
+
+    The count is certified by Sylvester's law of inertia: it is the number
+    of negative pivots of an LDL^T factorisation of K - lam_cap M (a sparse
+    LU in natural order without pivoting, valid for these banded pencils).
+    Shift-invert ARPACK then computes exactly that many eigenpairs;
+    ``want_vectors`` returns them M-orthonormal as columns, else None.
+    Raises ConvergenceError if the factorisation needs pivoting, if the
+    count leaves ARPACK no room (count >= n - 1), or if the computed
+    eigenvalues do not all lie below the cap.
+    """
     n = K.shape[0]
-    if n <= _DENSE_CUTOFF:
-        vals, vecs = scipy.linalg.eigh(K.toarray(), M.toarray())
-        keep = vals <= lam_cap
-        return vals[keep], (vecs[:, keep] if want_vectors else None)
-    k = min(max(k_hint, 6), n - 2)
-    while True:
-        v0 = np.full(n, 1.0 / math.sqrt(n))
-        try:
-            vals, vecs = splinalg.eigsh(
-                K, k=k, M=M, sigma=-1.0, which="LM", v0=v0, ncv=min(n - 1, max(2 * k + 1, 40))
-            )
-        except splinalg.ArpackError as exc:  # pragma: no cover
-            raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        if vals[-1] > lam_cap or k >= n - 2:
-            keep = vals <= lam_cap
-            return vals[keep], (vecs[:, keep] if want_vectors else None)
-        k = min(n - 2, int(k * 1.7) + 5)
-
-
-def _weyl_hint(problem: ChannelProblem, lam_max: float) -> int:
-    length = problem.profile.length
-    return int(problem.size * (length / math.pi) * math.sqrt(lam_max)) + 6
+    lu = splinalg.splu(
+        (K - lam_cap * M).tocsc(),
+        permc_spec="NATURAL",
+        diag_pivot_thresh=0.0,
+        options={"SymmetricMode": True},
+    )
+    natural = np.arange(n)
+    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+        raise ConvergenceError("inertia count needs a factorisation without pivoting")
+    count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    if count >= n - 1:
+        raise ConvergenceError(f"{count} eigenvalues below {lam_cap} in a pencil of size {n}")
+    if count == 0:
+        return np.empty(0), (np.empty((n, 0)) if want_vectors else None)
+    try:
+        result = splinalg.eigsh(
+            K,
+            k=count,
+            M=M,
+            sigma=-1.0,
+            which="LM",
+            v0=np.full(n, 1.0 / math.sqrt(n)),
+            return_eigenvectors=want_vectors,
+        )
+    except splinalg.ArpackError as exc:  # pragma: no cover
+        raise ConvergenceError(f"eigensolver failed: {exc}") from exc
+    vals, vecs = result if want_vectors else (result, None)
+    order = np.argsort(vals)
+    vals = vals[order]
+    if vals[-1] >= lam_cap:
+        raise ConvergenceError(f"eigensolver missed an eigenvalue below {lam_cap}: got {vals[-1]}")
+    return vals, (vecs[:, order] if want_vectors else None)
 
 
 def _check_resolution(profile: Profile, nodes: np.ndarray):
@@ -288,7 +306,7 @@ def _check_resolution(profile: Profile, nodes: np.ndarray):
 def single_mesh_eigenvalues(problem: ChannelProblem, nodes: np.ndarray, lam_max: float) -> np.ndarray:
     """Raw (unextrapolated) eigenvalues on one mesh; used by convergence studies."""
     K, M, T = _assemble(problem, nodes)
-    vals, _ = _solve_pencil(T.T @ K @ T, T.T @ M @ T, lam_max, _weyl_hint(problem, lam_max), False)
+    vals, _ = solve_pencil(T.T @ K @ T, T.T @ M @ T, lam_max)
     return vals
 
 
@@ -297,7 +315,6 @@ def fem_spectrum(
     mesh: MeshSpec,
     lam_max: float,
     want_vectors: bool = False,
-    conv_rtol: float = 1e-4,
 ) -> EigList:
     """Eigenvalues <= lam_max with Richardson extrapolation over two meshes.
 
@@ -311,13 +328,12 @@ def fem_spectrum(
     _check_resolution(problem.profile, nodes1)
     nodes2 = refine_mesh(nodes1)
     lam_cap = lam_max * 1.25 + 1.0
-    hint = _weyl_hint(problem, lam_cap)
 
     K1, M1, T1 = _assemble(problem, nodes1)
-    vals1, _ = _solve_pencil(T1.T @ K1 @ T1, T1.T @ M1 @ T1, lam_cap, hint, False)
+    vals1, _ = solve_pencil(T1.T @ K1 @ T1, T1.T @ M1 @ T1, lam_cap)
     K2, M2, T2 = _assemble(problem, nodes2)
     Kr2, Mr2 = T2.T @ K2 @ T2, T2.T @ M2 @ T2
-    vals2, vecs2 = _solve_pencil(Kr2, Mr2, lam_cap, hint, want_vectors)
+    vals2, vecs2 = solve_pencil(Kr2, Mr2, lam_cap, want_vectors)
 
     npair = min(len(vals1), len(vals2))
     entries = []
@@ -331,7 +347,7 @@ def fem_spectrum(
             break
         if ext < -zero_floor * 10:
             raise ConvergenceError(f"negative eigenvalue {ext} from {problem.label}")
-        if est > conv_rtol * max(abs(ext), 1.0):
+        if est > CONV_RTOL * max(abs(ext), 1.0):
             raise ConvergenceError(
                 f"extrapolation not converged for {problem.label}: lam={ext}, est={est}"
             )

@@ -223,7 +223,6 @@ class Eigenvalue:
     index: int
     method: str
     error: float | None = None
-    bracket: tuple[float, float] | None = None
 
     @property
     def multiplicity(self) -> int:
@@ -246,13 +245,6 @@ class EigList:
 
     def values(self) -> np.ndarray:
         return np.array([e.value for e in self.entries])
-
-    def with_multiplicity(self) -> np.ndarray:
-        """Values repeated by channel multiplicity."""
-        out: list[float] = []
-        for e in self.entries:
-            out.extend([e.value] * e.multiplicity)
-        return np.array(sorted(out))
 
 
 # ---------------------------------------------------------------------------

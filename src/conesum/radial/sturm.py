@@ -9,7 +9,9 @@ with natural (Neumann) conditions, discretised with quadratic elements
 against the volume weight f^n.  No change of variables, no seam corner
 terms, no essential tip conditions: the weight carries all of that, which
 makes this an end-to-end check of the channel reduction used elsewhere
-(U-map weights, seam conventions, absolute boundary conditions).
+(U-map weights, seam conventions, absolute boundary conditions).  The
+discretisation is the oracle's own; it shares only the linear algebra, the
+inertia-certified pencil solver of :mod:`conesum.radial.fem`.
 
 Exclusion of high modes is rigorous here: the Rayleigh quotient dominates
 mu^2 / r_max^2, so modes with mu^2 > lam_max r_max^2 contribute nothing.
@@ -20,13 +22,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sparse
-import scipy.sparse.linalg as splinalg
 
 from ..errors import DomainError
 from ..geometry import BCKind, Profile
 from ..sphere_modes import CLOSED_FORM, enumerate_sphere_modes
+from .fem import solve_pencil
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
 _QX = 0.5 * (_GX + 1.0)
@@ -81,25 +82,7 @@ def _mode_eigs(profile: Profile, n: int, mu_sq: float, lam_max: float, h: float)
     cols = pts[:, None, :].repeat(3, axis=1).ravel()
     K = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(npts, npts)).tocsr()
     M = sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(npts, npts)).tocsr()
-    if npts <= 400:
-        vals = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    else:
-        k = min(npts - 2, int(profile.length / math.pi * math.sqrt(lam_max)) + 8)
-        while True:
-            vals = splinalg.eigsh(
-                K,
-                k=k,
-                M=M,
-                sigma=-1.0,
-                which="LM",
-                v0=np.full(npts, 1.0 / math.sqrt(npts)),
-                return_eigenvectors=False,
-            )
-            vals = np.sort(vals)
-            if vals[-1] > lam_max or k >= npts - 2:
-                break
-            k = min(npts - 2, int(k * 1.7) + 5)
-    return vals[vals <= lam_max]
+    return solve_pencil(K, M, lam_max)[0]
 
 
 def sturm_liouville_oracle(

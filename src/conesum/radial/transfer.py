@@ -32,6 +32,9 @@ from ..geometry import BCKind
 from .bessel import jy_arrays
 from .problems import ChannelProblem, Eigenvalue, EigList
 
+OVERSAMPLE = 8  # k-grid points per Weyl spacing pi / L of the profile
+REFINE_XTOL = 1e-13  # brentq's absolute tolerance on k = sqrt(lam)
+
 
 @dataclass(frozen=True)
 class FundamentalBasis:
@@ -240,10 +243,8 @@ def confirm_even_root(
     return float(res.x) if res.fun <= depth_tol * edge else None
 
 
-def _scalar_roots(
-    problem: ChannelProblem, grid: np.ndarray, lam_max: float, refine_rtol: float
-) -> list[tuple[float, tuple[float, float]]]:
-    """(lam, k-bracket squared) of each sign change of the secular scan over ``grid``."""
+def _scalar_roots(problem: ChannelProblem, grid: np.ndarray, lam_max: float) -> list[float]:
+    """lam of each sign change of the secular scan over the k = sqrt(lam) ``grid``."""
     vals = [secular_value(problem, float(k) ** 2) for k in grid]
     out = []
     for a, b, fa, fb in zip(grid[:-1], grid[1:], vals, vals[1:]):
@@ -251,20 +252,15 @@ def _scalar_roots(
         if fa == 0.0:
             root = a
         elif fa * fb < 0:
-            root = brentq(lambda k: secular_value(problem, k * k), a, b, xtol=refine_rtol, rtol=1e-15)
+            root = brentq(lambda k: secular_value(problem, k * k), a, b, xtol=REFINE_XTOL, rtol=1e-15)
         else:
             continue
         if root * root <= lam_max:
-            out.append((root * root, (a * a, b * b)))
+            out.append(root * root)
     return out
 
 
-def transfer_spectrum(
-    problem: ChannelProblem,
-    lam_max: float,
-    oversample: int = 8,
-    refine_rtol: float = 1e-13,
-) -> EigList:
+def transfer_spectrum(problem: ChannelProblem, lam_max: float) -> EigList:
     """Positive eigenvalues in (0, lam_max] of one channel problem by secular root search.
 
     A coupled problem is solved as its two scalar slot problems and the
@@ -275,16 +271,15 @@ def transfer_spectrum(
     """
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    dk = math.pi / (problem.profile.length * oversample)
+    dk = math.pi / (problem.profile.length * OVERSAMPLE)
     kmax = math.sqrt(lam_max)
     grid = np.arange(dk, kmax + dk, dk)
     if len(grid) < 2:
         grid = np.linspace(dk / 4, kmax, 8)
     roots = sorted(
-        root for slot in problem.slot_problems() for root in _scalar_roots(slot, grid, lam_max, refine_rtol)
+        root for slot in problem.slot_problems() for root in _scalar_roots(slot, grid, lam_max)
     )
     entries = [
-        Eigenvalue(value=lam, problem=problem, index=i, method="secular", bracket=bracket)
-        for i, (lam, bracket) in enumerate(roots)
+        Eigenvalue(value=lam, problem=problem, index=i, method="secular") for i, lam in enumerate(roots)
     ]
-    return EigList(entries=entries, meta={"grid_dk": dk})
+    return EigList(entries=entries)

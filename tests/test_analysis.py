@@ -16,7 +16,7 @@ from conesum.analysis import (
     xi_eps,
     xi_one,
 )
-from conesum.errors import DomainError, EnumerationError
+from conesum.errors import DomainError, EnumerationError, ZeroModeMismatchError
 from conesum.geometry import connected_sum_profile, cover_profiles, spindle, truncated_spindle
 from conesum.radial.fem import MeshSpec
 from conesum.radial.problems import degree_problems
@@ -84,6 +84,24 @@ def test_enumeration_certificate(spindle_spectra):
 def test_assemble_rejects_unknown_method():
     with pytest.raises(DomainError):
         assemble_spectrum(spindle(1.0), 2, 0, 10.0, method="magic")
+
+
+def test_assemble_rejects_zero_mode_mismatch(monkeypatch):
+    # FEM must find exactly as many tiny eigenvalues per channel as the
+    # analytic kernel has; an analytic count one too high must be caught
+    import dataclasses
+
+    import conesum.analysis as analysis
+
+    real = analysis.first_order_kernel
+
+    def one_too_many(prob):
+        kernel = real(prob)
+        return dataclasses.replace(kernel, dim=kernel.dim + 1)
+
+    monkeypatch.setattr(analysis, "first_order_kernel", one_too_many)
+    with pytest.raises(ZeroModeMismatchError):
+        assemble_spectrum(spindle(1.0), 2, 0, 10.0, method="fem", mesh=MESH)
 
 
 def test_mcgowan_formula_examples():
