@@ -84,23 +84,33 @@ def assemble_spectrum(
     zero_threshold_rel: float = ZERO_THRESHOLD_REL,
     want_fields: bool = False,
     cap_factor: float = 1.0,
+    _slot_cache: dict | None = None,
 ) -> SpectrumResult:
     """Full degree-p spectrum below lam_max; method in {fem, secular, both}.
 
-    The secular solver sees a coupled PLUS_HALF problem as its two scalar
-    slot problems, so with method="both" every channel's coupled FEM
-    eigenvalues are checked against the union of the slot spectra: counts
-    must be equal and values agree to ``cross_rtol`` relative, otherwise
-    SolverDisagreementError is raised.  Zero modes are counted analytically
-    from the harmonic matching systems; FEM must find exactly that many
-    numerically tiny eigenvalues per channel.  Reported eigenvalues come
-    from FEM unless method="secular".
+    Eigenvalues come from the scalar slot problems of each channel
+    (``ChannelProblem.slot_problems``): a coupled PLUS_HALF problem in degree
+    q+1 has the positive spectrum of its alpha slot (degree q) and its beta
+    slot (degree q+2).  Each slot is solved once per ``_slot_cache`` and
+    looked up afterwards, so callers looping over degrees pass one dict;
+    with method="both" each slot's FEM eigenvalues are checked once against
+    the secular solver (equal counts, agreement to ``cross_rtol``, else
+    SolverDisagreementError).  Zero modes are counted analytically from the
+    harmonic matching systems; FEM must find exactly that many numerically
+    tiny eigenvalues per slot.  Reported eigenvalues come from FEM unless
+    method="secular".
+
+    ``want_fields`` (with FEM) solves every channel as such, coupled ones
+    included, to attach its eigenfunctions; this is the only coupled FEM
+    solve.  Without it, a coupled problem with Dirichlet-like or APS ends
+    raises DomainError, since its slots do not carry its spectrum there.
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
     mesh = mesh or MeshSpec()
     problems, certificate = degree_problems(profile, n, p, lam_max, source, cap_factor)
     zero_floor = zero_threshold_rel * lam_max
+    cache = _slot_cache if _slot_cache is not None else {}
 
     entries: list[Eigenvalue] = []
     fields: dict = {}
@@ -108,17 +118,27 @@ def assemble_spectrum(
     for prob in problems:
         kernel_dim = first_order_kernel(prob).dim
         zero_count += kernel_dim * prob.multiplicity
-        if method == "secular":
-            pos_entries = transfer_spectrum(prob, lam_max).entries
-        else:
-            fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=want_fields)
+        if want_fields and method != "secular":
+            fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=True)
             pos_entries = _positive_entries(prob, fem_list, kernel_dim, zero_floor)
             if method == "both":
                 fem_vals = [e.value for e in pos_entries]
                 _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values(), cross_rtol)
-            if want_fields and fem_list.meta.get("fields"):
-                for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
-                    fields[(prob.label, e.index)] = fld
+            for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
+                fields[(prob.label, e.index)] = fld
+        else:
+            slot_entries = sort_eigenvalues(
+                [
+                    e
+                    for slot in prob.slot_problems()
+                    for e in _slot_spectrum(slot, lam_max, method, mesh, cross_rtol, zero_floor, cache)
+                ]
+            )
+            # ranks after the kernel, as FEM indexes the channel's own spectrum
+            pos_entries = [
+                Eigenvalue(value=e.value, problem=prob, index=kernel_dim + i, method=e.method, error=e.error)
+                for i, e in enumerate(slot_entries)
+            ]
         entries.extend(pos_entries)
         entries.extend(
             Eigenvalue(value=0.0, problem=prob, index=i, method="exact") for i in range(kernel_dim)
@@ -134,6 +154,34 @@ def assemble_spectrum(
         method=method,
         fields=fields,
     )
+
+
+def _slot_spectrum(
+    slot: ChannelProblem,
+    lam_max: float,
+    method: str,
+    mesh: MeshSpec,
+    cross_rtol: float,
+    zero_floor: float,
+    cache: dict,
+) -> list[Eigenvalue]:
+    """Positive eigenvalues of one scalar slot problem, solved once per cache.
+
+    The key holds the slot's label, which adds its degree to its block's
+    label: that fixes the slot of a MINUS_HALF block and tells apart the two
+    exceptional blocks of a harmonic sphere mode, which share a block label.
+    """
+    key = (slot.profile, slot.label, lam_max, method, mesh, zero_floor)
+    if key not in cache:
+        if method == "secular":
+            cache[key] = transfer_spectrum(slot, lam_max).entries
+        else:
+            fem_list = fem_spectrum(slot, mesh, lam_max)
+            pos = _positive_entries(slot, fem_list, first_order_kernel(slot).dim, zero_floor)
+            if method == "both":
+                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values(), cross_rtol)
+            cache[key] = pos
+    return cache[key]
 
 
 def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, zero_floor: float) -> list:
@@ -193,7 +241,8 @@ def exact_form_spectrum(
     forms of degree p-1 are labelled by the channel structure: the coclosed
     alpha slots of degree p-1 (MINUS_HALF and exceptional) and, through the
     PLUS_HALF pairing, the closed MINUS_HALF beta slots of degree p.  This is
-    the positive FEM spectrum of those scalar problems; their zero modes are
+    the positive FEM spectrum of those scalar problems, solved and checked
+    as in assemble_spectrum (``_slot_spectrum``): their zero modes are
     checked against the analytic kernel and dropped.  For p = 1 it is the
     positive spectrum on functions.
     """
@@ -208,8 +257,7 @@ def exact_form_spectrum(
     ]
     out: list[float] = []
     for prob in problems:
-        fem_list = fem_spectrum(prob, mesh, lam_max)
-        for e in _positive_entries(prob, fem_list, first_order_kernel(prob).dim, zero_floor):
+        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, {}):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
@@ -219,8 +267,8 @@ def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM) -> float:
 
     For p = 0 this is the first positive eigenvalue on functions.
     """
-    lam_max = FIRST_EXACT_WINDOW * max(1.0, 1.0 / profile.r_max**2)
-    for _ in range(5):
+    start = FIRST_EXACT_WINDOW * max(1.0, 1.0 / profile.r_max**2)
+    for lam_max in (start * 4.0**i for i in range(5)):
         vals = (
             exact_form_spectrum(profile, n, p, lam_max, mesh, source)
             if p >= 1
@@ -228,7 +276,6 @@ def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM) -> float:
         )
         if len(vals):
             return float(vals[0])
-        lam_max *= 4.0
     raise DomainError(f"no exact {p}-form eigenvalue found below {lam_max}")
 
 
@@ -477,8 +524,10 @@ def sweep_epsilon(
     mcg: dict = {}
     zero_counts: dict = {}
 
+    slot_cache: dict = {}
     ref = {
-        p: assemble_spectrum(m1, n, p, lam_max, method, mesh, source) for p in degrees
+        p: assemble_spectrum(m1, n, p, lam_max, method, mesh, source, _slot_cache=slot_cache)
+        for p in degrees
     }
     mcg_ps = mcgowan_degrees if mcgowan_degrees is not None else tuple(range(1, n + 1))
 

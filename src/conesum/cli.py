@@ -159,6 +159,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
     label = "m1" if eps is None else f"m_eps={_fmt(eps)}"
     rows = []
     failures = []
+    slot_cache: dict = {}
     for p in cfg.degrees:
         res = assemble_spectrum(
             profile,
@@ -170,6 +171,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
             cross_rtol=cfg.solver["cross_rtol"],
             zero_threshold_rel=cfg.solver["zero_threshold_rel"],
             cap_factor=cfg.solver["cap_factor"],
+            _slot_cache=slot_cache,
         )
         for i, e in enumerate(res.entries):
             mode = e.problem.block.mode

@@ -8,10 +8,11 @@ operator:
     contributes a scalar problem -u'' + c u / f^2 = lam u with
     c = gamma (gamma + 1) shared by the block's gamma pair;
   * a PLUS_HALF block has both slots in degree q+1 and contributes a coupled
-    2x2 system whose potential matrix is the block of A^2 + A.  FEM solves it
-    as such; its positive spectrum is also the union of the spectra of the
-    two MINUS_HALF single slots of the same mode (``slot_problems``), which
-    is what the secular solver uses;
+    2x2 system whose potential matrix is the block of A^2 + A.  Its positive
+    spectrum is the union of the spectra of the two MINUS_HALF single slots
+    of the same mode (``slot_problems``), which is what both solvers use for
+    eigenvalues; FEM solves the coupled system as such only for its
+    eigenfields;
   * the harmonic sphere modes contribute 1x1 exceptional channels in degrees
     0, 1, n, n+1.
 

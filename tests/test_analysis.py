@@ -104,6 +104,61 @@ def test_assemble_rejects_zero_mode_mismatch(monkeypatch):
         assemble_spectrum(spindle(1.0), 2, 0, 10.0, method="fem", mesh=MESH)
 
 
+def _entry_rows(res):
+    return [(e.value, e.problem.label, e.index, e.multiplicity) for e in res.entries]
+
+
+def test_slot_cache_solves_each_slot_once(monkeypatch):
+    import conesum.analysis as analysis
+
+    prof = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.025)
+    degrees = range(5)
+    alone = {p: assemble_spectrum(prof, 3, p, 40.0, mesh=MESH) for p in degrees}
+
+    solved = []
+    real = analysis.fem_spectrum
+
+    def counting(prob, *args, **kwargs):
+        solved.append((prob.label, prob.slot_indices))
+        return real(prob, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "fem_spectrum", counting)
+    cache: dict = {}
+    shared = {p: assemble_spectrum(prof, 3, p, 40.0, mesh=MESH, _slot_cache=cache) for p in degrees}
+    for p in degrees:
+        assert _entry_rows(shared[p]) == _entry_rows(alone[p]), p
+        assert shared[p].zero_count == alone[p].zero_count
+    # one FEM solve per distinct scalar slot, none on a coupled problem
+    slots = {
+        (s.label, s.slot_indices)
+        for p in degrees
+        for prob in degree_problems(prof, 3, p, 40.0)[0]
+        for s in prob.slot_problems()
+    }
+    assert sorted(solved) == sorted(slots)
+
+
+def test_coupled_problems_without_slot_reduction():
+    # APS ends break the slot reduction: eigenvalues alone are refused, the
+    # coupled FEM solve behind eigenfields still runs
+    prof = truncated_spindle(2.0, 1.0, bc=geo.BCKind.APS)
+    with pytest.raises(DomainError, match="no scalar slot reduction"):
+        assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH)
+    res = assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH, want_fields=True)
+    coupled = [e for e in res.entries if e.problem.size == 2 and e.value > 0.0]
+    assert coupled
+    assert all((e.problem.label, e.index) in res.fields for e in coupled)
+
+
+def test_first_positive_exact_names_the_last_window(monkeypatch):
+    import conesum.analysis as analysis
+
+    monkeypatch.setattr(analysis, "exact_form_spectrum", lambda *args: np.empty(0))
+    last = analysis.FIRST_EXACT_WINDOW * 4.0**4
+    with pytest.raises(DomainError, match=f"below {last}$"):
+        first_positive_exact(spindle(1.0), 2, 1, MESH)
+
+
 def test_mcgowan_formula_examples():
     assert mcgowan_bound(1, 1, 1, 1, 1) == pytest.approx(0.25)
     # large mu_p_u1 limit: bound increases toward mu2 / (omega c / mu12 + 1)

@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 
 from conesum import geometry as geo
+from conesum.cone_operator import Family
 from conesum.errors import ConvergenceError, DomainError
 from conesum.geometry import BCKind, split_segment
 from conesum.radial.fem import (
@@ -167,6 +168,38 @@ def test_secular_solves_coupled_problems_through_slots():
     for profile in (geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS)):
         with pytest.raises(DomainError):
             transfer_spectrum(find_problem(profile, 2, 1, "q0:k1:plus_half"), 40.0)
+
+
+M1, M2 = geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0)
+SUPERSYMMETRY_PROFILES = {
+    "spindle": M1,
+    "truncated_spindle": M2,
+    "cone": geo.cone(1.0),
+    "annulus": geo.annulus(1.0, 2.0),
+    "m_eps_005": geo.connected_sum_profile(M1, M2, 0.05),
+    "m_eps_0025": geo.connected_sum_profile(M1, M2, 0.025),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(SUPERSYMMETRY_PROFILES))
+def test_coupled_fem_spectrum_is_the_union_of_its_slots(name, n):
+    # assemble_spectrum reads PLUS_HALF eigenvalues off the slot problems;
+    # this pins that identity against the coupled FEM assembly
+    profile, lam_max = SUPERSYMMETRY_PROFILES[name], 40.0
+    zero_floor = 1e-8 * lam_max
+    for p in range(1, n + 1):
+        for prob in problems_for(profile, n, p, lam_max):
+            if prob.block.family is not Family.PLUS_HALF:
+                continue
+            coupled = fem_spectrum(prob, MESH, lam_max).values()
+            slots = np.sort(
+                np.concatenate([fem_spectrum(s, MESH, lam_max).values() for s in prob.slot_problems()])
+            )
+            assert np.count_nonzero(coupled <= zero_floor) == first_order_kernel(prob).dim, prob.label
+            positive, union = coupled[coupled > zero_floor], slots[slots > zero_floor]
+            assert len(positive) == len(union), prob.label
+            assert positive == pytest.approx(union, rel=1e-8), prob.label
 
 
 def test_spindle_first_positive_golden():
