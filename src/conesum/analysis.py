@@ -234,6 +234,7 @@ def exact_form_spectrum(
     lam_max: float,
     mesh: MeshSpec | None = None,
     source: MultiplicitySource = CLOSED_FORM,
+    _slot_cache: dict | None = None,
 ) -> np.ndarray:
     """Positive eigenvalues on exact p-forms (with multiplicity) below lam_max.
 
@@ -244,7 +245,8 @@ def exact_form_spectrum(
     the positive FEM spectrum of those scalar problems, solved and checked
     as in assemble_spectrum (``_slot_spectrum``): their zero modes are
     checked against the analytic kernel and dropped.  For p = 1 it is the
-    positive spectrum on functions.
+    positive spectrum on functions.  ``_slot_cache`` is shared with
+    assemble_spectrum's.
     """
     if p < 1:
         raise DomainError("exact forms need p >= 1")
@@ -255,24 +257,28 @@ def exact_form_spectrum(
     problems = [pr for pr in alpha if pr.slots == (ALPHA,)] + [
         pr for pr in beta if pr.slots == (BETA,) and pr.block.family is Family.MINUS_HALF
     ]
+    cache = _slot_cache if _slot_cache is not None else {}
     out: list[float] = []
     for prob in problems:
-        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, {}):
+        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, cache):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
 
-def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM) -> float:
+def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, _slot_cache=None) -> float:
     """First positive exact-p eigenvalue, enlarging the window as needed.
 
-    For p = 0 this is the first positive eigenvalue on functions.
+    For p = 0 this is the first positive eigenvalue on functions.  Calls
+    passing one ``_slot_cache`` solve each scalar slot of a window once.
     """
     start = FIRST_EXACT_WINDOW * max(1.0, 1.0 / profile.r_max**2)
     for lam_max in (start * 4.0**i for i in range(5)):
         vals = (
-            exact_form_spectrum(profile, n, p, lam_max, mesh, source)
+            exact_form_spectrum(profile, n, p, lam_max, mesh, source, _slot_cache)
             if p >= 1
-            else assemble_spectrum(profile, n, 0, lam_max, "fem", mesh, source).positive_values()
+            else assemble_spectrum(
+                profile, n, 0, lam_max, "fem", mesh, source, _slot_cache=_slot_cache
+            ).positive_values()
         )
         if len(vals):
             return float(vals[0])
@@ -321,17 +327,12 @@ def mcgowan_report(
     if not 1 <= p <= n:
         raise DomainError(f"McGowan bound applies for 1 <= p <= n, got p={p}")
     mesh = mesh or MeshSpec()
-    u1, u2, u12 = cover_profiles(m_eps, eps)
+    u1 = cover_profiles(m_eps, eps)[0]
     mu1 = first_positive_exact(u1, n, p, mesh, source)
     cache = _unit_cache if _unit_cache is not None else {}
-    key_u2, key_u12 = ("u2", p), ("u12", p - 1)
-    if key_u2 not in cache:
-        unit_u2 = u2.scaled(1.0 / eps)
-        cache[key_u2] = first_positive_exact(unit_u2, n, p, mesh, source)
-    if key_u12 not in cache:
-        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, source)
-    mu2 = cache[key_u2] / eps**2
-    mu12 = cache[key_u12] / eps**2
+    unit_mu2, unit_mu12 = _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache, {})
+    mu2 = unit_mu2 / eps**2
+    mu12 = unit_mu12 / eps**2
     c_rho_val = partition_gradient_constant(eps) if c_rho is None else c_rho
     return McGowanReport(
         eps=eps,
@@ -343,6 +344,18 @@ def mcgowan_report(
         c_rho=c_rho_val,
         bound=mcgowan_bound(mu1, mu2, mu12, omega, c_rho_val),
     )
+
+
+def _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache: dict, slot_cache: dict) -> tuple[float, float]:
+    """Unit-scale mu^p(U2) and mu^{p-1}(U12), which do not depend on eps, cached
+    under ("u2", p) and ("u12", p - 1); ``slot_cache`` lets U12's degrees share slots."""
+    _, u2, u12 = cover_profiles(m_eps, eps)
+    key_u2, key_u12 = ("u2", p), ("u12", p - 1)
+    if key_u2 not in cache:
+        cache[key_u2] = first_positive_exact(u2.scaled(1.0 / eps), n, p, mesh, source, slot_cache)
+    if key_u12 not in cache:
+        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, source, slot_cache)
+    return cache[key_u2], cache[key_u12]
 
 
 # ---------------------------------------------------------------------------
@@ -533,11 +546,10 @@ def sweep_epsilon(
 
     # unit-scale cover pieces are eps-independent: fill the cache once
     unit_cache: dict = {}
+    unit_slots: dict = {}
+    m_eps0 = connected_sum_profile(m1, m2, epsilons[0])
     for p in mcg_ps:
-        mcgowan_report(
-            connected_sum_profile(m1, m2, epsilons[0]), n, p, epsilons[0],
-            mesh, source, omega, c_rho, unit_cache,
-        )
+        _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, source, unit_cache, unit_slots)
     tasks = [
         (m1, m2, n, degrees, mcg_ps, eps, lam_max, mesh, method, source, omega, c_rho, unit_cache)
         for eps in epsilons

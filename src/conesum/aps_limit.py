@@ -101,7 +101,7 @@ def aps_kernel(problem: ApsProblem, rank_tol: float = RANK_TOL) -> KernelReport:
         if res.dim == 0 and not res.near_singular:
             continue
         contrib = KernelContribution(
-            label=block.label,
+            label=prob.label,
             degrees=block.degrees,
             dim=res.dim,
             multiplicity=block.mode.multiplicity,

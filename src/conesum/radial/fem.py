@@ -15,11 +15,16 @@ every seam is a mesh vertex so derivative jumps cost nothing in accuracy.
 Eigenvalues are extrapolated over two nested meshes (Richardson, order 4),
 which also supplies the per-eigenvalue convergence estimate.
 
-Each mesh gives one banded pencil K x = lam M x, and :func:`solve_pencil`
-returns every eigenvalue below a cap: Sylvester's law of inertia counts them
-exactly (spectrum slicing, Ericsson-Ruhe 1980), and one shift-invert ARPACK
-call computes that many.  It is the only eigensolver of the package; the
-Sturm-Liouville oracle uses it too.
+Each mesh gives one pencil K x = lam M x of half-bandwidth 3 * size - 1,
+which :func:`band_assemble` scatters with one ``np.bincount`` per matrix
+straight into LAPACK's upper band storage.  Tips, Dirichlet-like ends and
+absolute beta slots drop their dofs by an index map; an APS end, whose
+constraint mixes the two slots, merges its two dofs along the null vector.
+:func:`solve_pencil` counts the eigenvalues below a cap by Sylvester's law
+of inertia (spectrum slicing, Ericsson-Ruhe 1980) and computes that many by
+shift-invert ARPACK through a banded Cholesky factorisation.  It is the
+only eigensolver of the package; the Sturm-Liouville oracle assembles its
+own pencil with :func:`band_assemble` and solves it here too.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
+from scipy.linalg import blas, lapack
 
 from ..errors import ConvergenceError, DomainError
 from ..geometry import BCKind, Profile
@@ -104,14 +110,6 @@ class FemField:
     vertices: np.ndarray  # (nv,)
     coeffs: np.ndarray  # (npoints, size): vertex/midpoint interleaved
 
-    @property
-    def points(self) -> np.ndarray:
-        verts = self.vertices
-        out = np.empty(2 * len(verts) - 1)
-        out[0::2] = verts
-        out[1::2] = 0.5 * (verts[:-1] + verts[1:])
-        return out
-
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """(len(ts), size) array of the global channel variables."""
         ts = np.atleast_1d(np.asarray(ts, dtype=float))
@@ -135,125 +133,118 @@ class FemField:
         return tq.ravel(), wq.ravel(), vals.reshape(-1, self.coeffs.shape[1])
 
 
-def _element_segments(profile: Profile, nodes: np.ndarray) -> np.ndarray:
-    mids = 0.5 * (nodes[:-1] + nodes[1:])
-    bps = np.array(profile.breakpoints)
-    return np.clip(np.searchsorted(bps, mids, side="right") - 1, 0, len(profile.segments) - 1)
+def _dof_map(problem: ChannelProblem, npts: int) -> tuple[np.ndarray, np.ndarray, int]:
+    """(target, weight, n): full dof i is weight[i] times constrained dof target[i].
+
+    This is the congruence T^T K T, with T the identity on interior dofs and,
+    at a tip or a constrained end, the QR null basis of its constraint rows.
+    Channels have at most two slots, so such an end keeps at most one
+    direction: its dofs either drop (weight 0) or merge into one.
+    """
+    size = problem.size
+    weight = np.ones(npts * size)
+    opens = np.ones(npts * size, dtype=bool)  # dof starts a new constrained dof
+    for which, dofs in (("start", slice(0, size)), ("end", slice(-size, None))):
+        data = problem.endpoint(which)
+        if data.bc is BCKind.REGULAR_TIP or data.constraints:
+            cmat = np.eye(size) if data.bc is BCKind.REGULAR_TIP else np.vstack(data.constraints)
+            kept = np.linalg.qr(cmat.T, mode="complete")[0][:, np.linalg.matrix_rank(cmat) :]
+            weight[dofs] = kept[:, 0] if kept.shape[1] else 0.0
+            opens[dofs] = (np.arange(size) == 0) & (kept.shape[1] > 0)
+    return np.cumsum(opens) - 1, weight, int(np.count_nonzero(opens))
+
+
+def band_assemble(rows: np.ndarray, cols: np.ndarray, n: int, bw: int, *vals: np.ndarray) -> list:
+    """Symmetric matrices summing each vals at (rows, cols), in upper band storage:
+    shape (bw + 1, n), A[i, j] at [bw + i - j, j] as LAPACK's ``?pbtrf`` reads it.
+    Entries below the diagonal are skipped, so the input lists both triangles.
+    """
+    upper = rows <= cols
+    flat = (bw + rows[upper] - cols[upper]) * n + cols[upper]
+    return [np.bincount(flat, weights=v[upper], minlength=(bw + 1) * n).reshape(bw + 1, n) for v in vals]
+
+
+def band_to_sparse(ab: np.ndarray) -> sparse.dia_matrix:
+    """The full symmetric matrix of an upper band storage array, in DIA format."""
+    bw, n = ab.shape[0] - 1, ab.shape[1]
+    # offset d >= 0 holds A[j - d, j] = ab[bw - d, j] at column j, offset -d
+    # holds A[j + d, j] = ab[bw - d, j + d]
+    padded = np.hstack([ab, np.zeros((bw + 1, bw))])
+    lower = [padded[bw - d, d : d + n] for d in range(bw, 0, -1)]
+    return sparse.dia_matrix((np.vstack(lower + [ab[::-1]]), np.arange(-bw, bw + 1)), shape=(n, n))
 
 
 def _assemble(problem: ChannelProblem, nodes: np.ndarray):
+    """Constrained pencil (K, M) in upper band storage and its (target, weight) dof map.
+
+    An element's three points span 3 * size consecutive dofs, hence the
+    half-bandwidth 3 * size - 1; dropping or merging end dofs never widens it.
+    """
     profile = problem.profile
     size = problem.size
     nel = len(nodes) - 1
-    npts = 2 * len(nodes) - 1
-    ndof = npts * size
-    seg_of = _element_segments(profile, nodes)
+    h = np.diff(nodes)
+    # the profile radius is linear between breakpoints, with slope +-1
+    bps = profile.breakpoints
+    rq = np.interp(nodes[:-1, None] + h[:, None] * _QX[None, :], bps, [profile.radius(t) for t in bps])
+    pot = np.where(
+        (rq[:, -1] > rq[:, 0])[:, None, None], problem.potential_global(+1), problem.potential_global(-1)
+    )  # (nel, size, size) by segment orientation
+    ke_grad = np.einsum("qi,qj,q->ij", _DN, _DN, _QW)[None, :, :] / h[:, None, None]
+    me = np.einsum("qi,qj,q->ij", _N, _N, _QW)[None, :, :] * h[:, None, None]
+    ke_pot = np.einsum("eq,qi,qj->eij", _QW[None, :] * h[:, None] / (rq * rq), _N, _N)
+    # element blocks indexed (element, point, slot, point, slot); element e
+    # owns points 2e, 2e+1, 2e+2, that is dofs 2e*size .. 2e*size + 3*size - 1
+    slot_eye = np.eye(size)[None, None, :, None, :]
+    ke = ke_pot[:, :, None, :, None] * pot[:, None, :, None, :] + ke_grad[:, :, None, :, None] * slot_eye
+    mel = np.broadcast_to(me[:, :, None, :, None] * slot_eye, ke.shape)
+    dofs = 2 * size * np.arange(nel)[:, None] + np.arange(3 * size)
+    shape = (nel, 3 * size, 3 * size)
+    rows = [np.broadcast_to(dofs[:, :, None], shape).ravel()]
+    cols = [np.broadcast_to(dofs[:, None, :], shape).ravel()]
+    kvals, mvals = [ke.ravel()], [mel.ravel()]
 
-    rows, cols, kvals, mvals = [], [], [], []
-    for si, seg in enumerate(profile.segments):
-        els = np.nonzero(seg_of == si)[0]
-        if len(els) == 0:
-            continue
-        h = nodes[els + 1] - nodes[els]
-        tq = nodes[els, None] + h[:, None] * _QX[None, :]
-        # local cone radius at quadrature points
-        t0 = profile.breakpoints[si]
-        rq = seg.r_lo + (tq - t0) if seg.orientation > 0 else seg.r_hi - (tq - t0)
-        pot = problem.potential_global(seg.orientation)  # (size, size)
-        invr2 = 1.0 / (rq * rq)
-        # element matrices: (nel_s, 3, 3) scalar parts
-        ke_grad = np.einsum("qi,qj,q->ij", _DN, _DN, _QW)[None, :, :] / h[:, None, None]
-        me = np.einsum("qi,qj,q->ij", _N, _N, _QW)[None, :, :] * h[:, None, None]
-        kw = invr2 * _QW[None, :] * h[:, None]  # (nel_s, 6)
-        ke_pot = np.einsum("eq,qi,qj->eij", kw, _N, _N)  # scalar 1/r^2 weight
-        pts = np.stack([2 * els, 2 * els + 1, 2 * els + 2], axis=1)  # (nel_s, 3)
-        for a in range(size):
-            for b in range(size):
-                block = ke_pot * pot[a, b]
-                if a == b:
-                    block = block + ke_grad
-                r = (pts[:, :, None] * size + a).repeat(3, axis=2)
-                c = (pts[:, None, :] * size + b).repeat(3, axis=1)
-                rows.append(r.ravel())
-                cols.append(c.ravel())
-                kvals.append(block.ravel())
-                if a == b:
-                    mvals.append(np.broadcast_to(me, block.shape).ravel())
-                else:
-                    mvals.append(np.zeros(block.size))
+    # seam corner matrices and endpoint natural terms, each at one vertex
+    corners = list(zip(bps[1:-1], problem.seam_matrices()))
+    corners += [(t, problem.endpoint(which).k_matrix) for t, which in ((0.0, "start"), (bps[-1], "end"))]
+    for t, mat in corners:
+        if mat is not None:
+            pdofs = 2 * size * int(np.argmin(np.abs(nodes - t))) + np.arange(size)
+            rows.append(np.repeat(pdofs, size))
+            cols.append(np.tile(pdofs, size))
+            kvals.append(np.ravel(mat))
+            mvals.append(np.zeros(size * size))
 
-    # seam corner matrices and endpoint natural terms
-    def add_point_matrix(point: int, mat: np.ndarray):
-        for a in range(size):
-            for b in range(size):
-                if mat[a, b] != 0.0:
-                    rows.append(np.array([point * size + a]))
-                    cols.append(np.array([point * size + b]))
-                    kvals.append(np.array([mat[a, b]]))
-                    mvals.append(np.zeros(1))
-
-    seam_ks = problem.seam_matrices()
-    for bp, kmat in zip(profile.breakpoints[1:-1], seam_ks):
-        if kmat is None:
-            continue
-        vi = int(np.argmin(np.abs(nodes - bp)))
-        add_point_matrix(2 * vi, kmat)
-    ends = {"start": 0, "end": npts - 1}
-    constraints: dict[int, list[np.ndarray]] = {}
-    for which, point in ends.items():
-        data = problem.endpoint(which)
-        if data.bc is BCKind.REGULAR_TIP:
-            constraints[point] = [row for row in np.eye(size)]
-            continue
-        if data.k_matrix is not None:
-            add_point_matrix(point, data.k_matrix)
-        if data.constraints:
-            constraints[point] = [np.asarray(c, dtype=float) for c in data.constraints]
-
-    K = sparse.coo_matrix(
-        (np.concatenate(kvals), (np.concatenate(rows), np.concatenate(cols))), shape=(ndof, ndof)
-    ).tocsr()
-    M = sparse.coo_matrix(
-        (np.concatenate(mvals), (np.concatenate(rows), np.concatenate(cols))), shape=(ndof, ndof)
-    ).tocsr()
-    T = _constraint_transform(npts, size, constraints)
-    return K, M, T
+    target, weight, n = _dof_map(problem, 2 * len(nodes) - 1)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    w = weight[rows] * weight[cols]
+    kept = w != 0.0
+    K, M = band_assemble(
+        target[rows[kept]], target[cols[kept]], n, 3 * size - 1,
+        np.concatenate(kvals)[kept] * w[kept], np.concatenate(mvals)[kept] * w[kept],
+    )
+    return K, M, (target, weight)
 
 
-def _constraint_transform(npts: int, size: int, constraints: dict) -> sparse.csr_matrix:
-    """Sparse map from reduced to full dofs eliminating the endpoint constraints.
+def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float, want_vectors: bool = False):
+    """All eigenvalues below lam_cap of the banded pencil K x = lam M x, ascending.
 
-    Constraints only sit at points 0 and npts-1, so the map is block
-    diagonal: a null-space basis of each end's constraint rows around an
-    identity on the interior dofs.
+    K and M are in upper band storage.  The count is the number of negative
+    pivots of an LDL^T factorisation of K - lam_cap M (natural-order sparse
+    LU without pivoting; Sylvester's law of inertia).  That many eigenpairs
+    come from shift-invert ARPACK at sigma = -1 on U^-T M U^-1, with
+    K + M = U^T U a banded Cholesky factorisation: its eigenvalues are
+    nu = 1 / (lam + 1), and standard mode 3 returns sigma + 1/nu = lam with
+    no M-products.  ARPACK never applies eigsh's first argument in this
+    mode; K goes there for its shape.  ``want_vectors`` returns U^-1 y for
+    ARPACK's vectors y, M-orthonormal, as columns, else None.  Raises
+    ConvergenceError if the inertia factorisation pivots, if the count
+    leaves ARPACK no room (count >= n - 1), if K + M is not positive
+    definite, or if an eigenvalue returned is not below the cap.
     """
-
-    def end_basis(point: int) -> np.ndarray:
-        if point not in constraints:
-            return np.eye(size)
-        cmat = np.vstack(constraints[point])
-        q, _ = np.linalg.qr(cmat.T, mode="complete")
-        return q[:, np.linalg.matrix_rank(cmat) :]
-
-    blocks = [end_basis(0), sparse.identity((npts - 2) * size), end_basis(npts - 1)]
-    return sparse.block_diag(blocks, format="csr")
-
-
-def solve_pencil(K, M, lam_cap: float, want_vectors: bool = False):
-    """All eigenvalues below lam_cap of the symmetric pencil K x = lam M x, ascending.
-
-    The count is certified by Sylvester's law of inertia: it is the number
-    of negative pivots of an LDL^T factorisation of K - lam_cap M (a sparse
-    LU in natural order without pivoting, valid for these banded pencils).
-    Shift-invert ARPACK then computes exactly that many eigenpairs;
-    ``want_vectors`` returns them M-orthonormal as columns, else None.
-    Raises ConvergenceError if the factorisation needs pivoting, if the
-    count leaves ARPACK no room (count >= n - 1), or if the computed
-    eigenvalues do not all lie below the cap.
-    """
-    n = K.shape[0]
+    bw, n = K.shape[0] - 1, K.shape[1]
     lu = splinalg.splu(
-        (K - lam_cap * M).tocsc(),
+        band_to_sparse(K - lam_cap * M).tocsc(),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
@@ -266,13 +257,23 @@ def solve_pencil(K, M, lam_cap: float, want_vectors: bool = False):
         raise ConvergenceError(f"{count} eigenvalues below {lam_cap} in a pencil of size {n}")
     if count == 0:
         return np.empty(0), (np.empty((n, 0)) if want_vectors else None)
+    chol, info = lapack.dpbtrf(K + M)
+    if info != 0:
+        raise ConvergenceError(f"K + M is not positive definite (dpbtrf info {info})")
+    mf = np.asfortranarray(M)
+
+    def apply(y):
+        z = lapack.dtbtrs(chol, y.reshape(n, 1))[0]
+        z = blas.dsbmv(bw, 1.0, mf, z[:, 0])
+        return lapack.dtbtrs(chol, z.reshape(n, 1), trans="T")[0][:, 0]
+
     try:
         result = splinalg.eigsh(
-            K,
+            band_to_sparse(K),
             k=count,
-            M=M,
             sigma=-1.0,
             which="LM",
+            OPinv=splinalg.LinearOperator((n, n), matvec=apply, dtype=float),
             v0=np.full(n, 1.0 / math.sqrt(n)),
             return_eigenvectors=want_vectors,
         )
@@ -283,7 +284,11 @@ def solve_pencil(K, M, lam_cap: float, want_vectors: bool = False):
     vals = vals[order]
     if vals[-1] >= lam_cap:
         raise ConvergenceError(f"eigensolver missed an eigenvalue below {lam_cap}: got {vals[-1]}")
-    return vals, (vecs[:, order] if want_vectors else None)
+    if not want_vectors:
+        return vals, None
+    # x = U^-1 y has x^T M x = nu = 1 / (lam + 1)
+    vecs = lapack.dtbtrs(chol, vecs[:, order])[0] * np.sqrt(1.0 + vals)
+    return vals, vecs
 
 
 def _check_resolution(profile: Profile, nodes: np.ndarray):
@@ -305,9 +310,8 @@ def _check_resolution(profile: Profile, nodes: np.ndarray):
 
 def single_mesh_eigenvalues(problem: ChannelProblem, nodes: np.ndarray, lam_max: float) -> np.ndarray:
     """Raw (unextrapolated) eigenvalues on one mesh; used by convergence studies."""
-    K, M, T = _assemble(problem, nodes)
-    vals, _ = solve_pencil(T.T @ K @ T, T.T @ M @ T, lam_max)
-    return vals
+    K, M, _ = _assemble(problem, nodes)
+    return solve_pencil(K, M, lam_max)[0]
 
 
 def fem_spectrum(
@@ -329,11 +333,9 @@ def fem_spectrum(
     nodes2 = refine_mesh(nodes1)
     lam_cap = lam_max * 1.25 + 1.0
 
-    K1, M1, T1 = _assemble(problem, nodes1)
-    vals1, _ = solve_pencil(T1.T @ K1 @ T1, T1.T @ M1 @ T1, lam_cap)
-    K2, M2, T2 = _assemble(problem, nodes2)
-    Kr2, Mr2 = T2.T @ K2 @ T2, T2.T @ M2 @ T2
-    vals2, vecs2 = solve_pencil(Kr2, Mr2, lam_cap, want_vectors)
+    vals1 = single_mesh_eigenvalues(problem, nodes1, lam_cap)
+    K2, M2, (target, weight) = _assemble(problem, nodes2)
+    vals2, vecs2 = solve_pencil(K2, M2, lam_cap, want_vectors)
 
     npair = min(len(vals1), len(vals2))
     entries = []
@@ -354,13 +356,9 @@ def fem_spectrum(
         entries.append(
             Eigenvalue(value=float(ext), problem=problem, index=i, method="fem", error=float(est))
         )
-        if want_vectors and vecs2 is not None and i < vecs2.shape[1]:
-            full = T2 @ vecs2[:, i]
-            coeffs = full.reshape(-1, problem.size)
-            fld = FemField(problem=problem, vertices=nodes2, coeffs=coeffs)
-            _, wq, vq = fld.quadrature()
-            norm = math.sqrt(float(np.sum(wq * np.sum(vq * vq, axis=1))))
-            fld.coeffs = coeffs / norm
-            fields.append(fld)
+        if want_vectors:
+            # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
+            coeffs = (weight * vecs2[target, i]).reshape(-1, problem.size)
+            fields.append(FemField(problem=problem, vertices=nodes2, coeffs=coeffs))
     meta = {"nodes": len(nodes2), "fields": fields if want_vectors else None}
     return EigList(entries=entries, meta=meta)

@@ -10,8 +10,9 @@ against the volume weight f^n.  No change of variables, no seam corner
 terms, no essential tip conditions: the weight carries all of that, which
 makes this an end-to-end check of the channel reduction used elsewhere
 (U-map weights, seam conventions, absolute boundary conditions).  The
-discretisation is the oracle's own; it shares only the linear algebra, the
-inertia-certified pencil solver of :mod:`conesum.radial.fem`.
+discretisation is the oracle's own; it shares only the linear algebra of
+:mod:`conesum.radial.fem`: the band scatter and the inertia-certified pencil
+solver.
 
 Exclusion of high modes is rigorous here: the Rayleigh quotient dominates
 mu^2 / r_max^2, so modes with mu^2 > lam_max r_max^2 contribute nothing.
@@ -22,12 +23,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.sparse as sparse
 
 from ..errors import DomainError
 from ..geometry import BCKind, Profile
 from ..sphere_modes import CLOSED_FORM, enumerate_sphere_modes
-from .fem import solve_pencil
+from .fem import band_assemble, solve_pencil
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
 _QX = 0.5 * (_GX + 1.0)
@@ -52,24 +52,14 @@ def _mesh(profile: Profile, h: float) -> np.ndarray:
     return np.concatenate(nodes)
 
 
-def _radius(profile: Profile, tq: np.ndarray) -> np.ndarray:
-    bps = np.array(profile.breakpoints)
-    idx = np.clip(np.searchsorted(bps, tq, side="right") - 1, 0, len(profile.segments) - 1)
-    out = np.empty_like(tq)
-    for i, seg in enumerate(profile.segments):
-        sel = idx == i
-        local = tq[sel] - bps[i]
-        out[sel] = seg.r_lo + local if seg.orientation > 0 else seg.r_hi - local
-    return out
-
-
 def _mode_eigs(profile: Profile, n: int, mu_sq: float, lam_max: float, h: float) -> np.ndarray:
     nodes = _mesh(profile, h)
     nel = len(nodes) - 1
     npts = 2 * len(nodes) - 1
     he = np.diff(nodes)
     tq = nodes[:-1, None] + he[:, None] * _QX[None, :]
-    fq = _radius(profile, tq.ravel()).reshape(nel, 6)
+    bps = profile.breakpoints  # the radius is linear between them
+    fq = np.interp(tq, bps, [profile.radius(t) for t in bps])
     wq = he[:, None] * _QW[None, :]
     wn = wq * fq**n
     kw = wn / he[:, None] ** 2
@@ -80,8 +70,7 @@ def _mode_eigs(profile: Profile, n: int, mu_sq: float, lam_max: float, h: float)
     pts = np.stack([2 * np.arange(nel), 2 * np.arange(nel) + 1, 2 * np.arange(nel) + 2], axis=1)
     rows = pts[:, :, None].repeat(3, axis=2).ravel()
     cols = pts[:, None, :].repeat(3, axis=1).ravel()
-    K = sparse.coo_matrix((ke.ravel(), (rows, cols)), shape=(npts, npts)).tocsr()
-    M = sparse.coo_matrix((me.ravel(), (rows, cols)), shape=(npts, npts)).tocsr()
+    K, M = band_assemble(rows, cols, npts, 2, ke.ravel(), me.ravel())
     return solve_pencil(K, M, lam_max)[0]
 
 

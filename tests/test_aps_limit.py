@@ -54,6 +54,29 @@ def test_kernel_invariant_under_refinement():
     assert a.dims == b.dims
 
 
+def test_kernel_labels_tell_degrees_apart(monkeypatch):
+    # the two exceptional blocks of a harmonic sphere mode share a block
+    # label; the degree-qualified channel label keeps them apart
+    import dataclasses
+
+    import conesum.aps_limit as aps_limit
+
+    real = aps_limit.first_order_kernel
+
+    def dim_one(prob, rank_tol):
+        return dataclasses.replace(real(prob, rank_tol), dim=1, near_singular=True)
+
+    monkeypatch.setattr(aps_limit, "first_order_kernel", dim_one)
+    rep = aps_kernel(ApsProblem(profile=aps_m2(), n=2, mu_sq_max=10.0))
+    near_singular = [c.label for c in rep.contributions if c.near_singular]
+    assert len(near_singular) == len(rep.contributions) > 0
+    assert len(set(near_singular)) == len(near_singular)
+    assert {c.label for c in rep.contributions if "exceptional" in c.label} >= {
+        "p0:n2:q0:kH:exceptional",
+        "p1:n2:q0:kH:exceptional",
+    }
+
+
 def test_kernel_needs_aps_boundary():
     with pytest.raises(DomainError):
         ApsProblem(profile=geo.truncated_spindle(2.0, 1.0), n=2)

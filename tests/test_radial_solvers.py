@@ -1,16 +1,21 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+from hypothesis import given, settings, strategies as st
 
 from conesum import geometry as geo
 from conesum.cone_operator import Family
 from conesum.errors import ConvergenceError, DomainError
 from conesum.geometry import BCKind, split_segment
+from conesum.radial import sturm
 from conesum.radial.fem import (
     MeshSpec,
     _assemble,
+    band_to_sparse,
     fem_spectrum,
     make_mesh,
     refine_mesh,
@@ -315,9 +320,12 @@ def test_unresolved_mesh_is_rejected():
 PENCIL_MESH = MeshSpec(h=0.05, tip_floor=0.25)
 
 
-def reduced_pencil(profile, p, label_part, spec=PENCIL_MESH):
-    K, M, T = _assemble(find_problem(profile, 2, p, label_part), make_mesh(profile, spec))
-    return T.T @ K @ T, T.T @ M @ T
+def band_pencil(profile, p, label_part, spec=PENCIL_MESH):
+    return _assemble(find_problem(profile, 2, p, label_part), make_mesh(profile, spec))[:2]
+
+
+def dense(ab):
+    return band_to_sparse(ab).toarray()
 
 
 PENCILS = {
@@ -327,13 +335,45 @@ PENCILS = {
     "coupled_aps": (geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS), 1, "q0:k1:plus_half"),
 }
 
+# Reduced pencils (T^T K T, T^T M T) of the sparse COO assembly with an
+# explicit constraint map T that the banded assembly replaced, frozen as CSR
+# arrays: the PENCILS cases on FROZEN_MESH and the oracle's k=1 mode
+# (mu^2 = 2) on the spindle, n=2, h=0.1.
+FROZEN = np.load(Path(__file__).with_name("sparse_pencils.npz"))
+FROZEN_MESH = MeshSpec(h=0.1, tip_floor=0.25)
+
+
+def frozen(name, tag):
+    parts = [FROZEN[f"{name}.{tag}.{key}"] for key in ("data", "indices", "indptr", "shape")]
+    return scipy.sparse.csr_matrix(tuple(parts[:3]), shape=tuple(parts[3])).toarray()
+
+
+def oracle_pencil(monkeypatch):
+    captured = []
+    solve = sturm.solve_pencil
+    monkeypatch.setattr(sturm, "solve_pencil", lambda K, M, cap: captured.append((K, M)) or solve(K, M, cap))
+    sturm._mode_eigs(geo.spindle(1.0), 2, 2.0, 40.0, 0.1)
+    return captured[0]
+
+
+@pytest.mark.parametrize("case", sorted(PENCILS) + ["oracle"])
+def test_band_assembly_matches_frozen_sparse_assembly(case, monkeypatch):
+    if case == "oracle":
+        K, M = oracle_pencil(monkeypatch)
+    else:
+        K, M = band_pencil(*PENCILS[case], spec=FROZEN_MESH)
+    for tag, ab in (("K", K), ("M", M)):
+        ref = frozen(case, tag)
+        np.testing.assert_allclose(dense(ab), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
 
 @pytest.mark.parametrize("case", sorted(PENCILS))
 def test_solve_pencil_matches_dense(case):
-    K, M = reduced_pencil(*PENCILS[case])
+    K, M = band_pencil(*PENCILS[case])
+    Kd, Md = dense(K), dense(M)
     cap = 51.0
-    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
-    expected = dense[dense < cap]
+    expected = scipy.linalg.eigh(Kd, Md, eigvals_only=True)
+    expected = expected[expected < cap]
     assert len(expected) >= 2
     vals, vecs = solve_pencil(K, M, cap)
     assert vecs is None
@@ -341,23 +381,68 @@ def test_solve_pencil_matches_dense(case):
     assert vals == pytest.approx(expected, rel=1e-10, abs=1e-10)
     vals, vecs = solve_pencil(K, M, cap, want_vectors=True)
     assert vals == pytest.approx(expected, rel=1e-10, abs=1e-10)
-    assert vecs.T @ (M @ vecs) == pytest.approx(np.eye(len(vals)), abs=1e-10)
-    assert K @ vecs == pytest.approx(M @ vecs * vals, abs=1e-8 * max(vals.max(), 1.0))
+    assert vecs.T @ (Md @ vecs) == pytest.approx(np.eye(len(vals)), abs=1e-10)
+    assert Kd @ vecs == pytest.approx(Md @ vecs * vals, abs=1e-8 * max(vals.max(), 1.0))
 
 
 def test_solve_pencil_empty_below_first_eigenvalue():
-    K, M = reduced_pencil(*PENCILS["tip_scalar"])
-    first = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)[0]
+    K, M = band_pencil(*PENCILS["tip_scalar"])
+    first = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)[0]
     vals, vecs = solve_pencil(K, M, 0.5 * first, want_vectors=True)
     assert vals.shape == (0,)
-    assert vecs.shape == (K.shape[0], 0)
+    assert vecs.shape == (K.shape[1], 0)
 
 
 def test_solve_pencil_rejects_a_cap_above_all_but_one_eigenvalue():
-    K, M = reduced_pencil(*PENCILS["tip_scalar"], spec=MeshSpec(h=0.25))
-    dense = scipy.linalg.eigh(K.toarray(), M.toarray(), eigvals_only=True)
+    K, M = band_pencil(*PENCILS["tip_scalar"], spec=MeshSpec(h=0.25))
+    eigs = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)
     with pytest.raises(ConvergenceError, match="in a pencil of size"):
-        solve_pencil(K, M, 0.5 * (dense[-2] + dense[-1]))
+        solve_pencil(K, M, 0.5 * (eigs[-2] + eigs[-1]))
+
+
+def test_solve_pencil_rejects_k_plus_m_not_positive_definite():
+    K, M = band_pencil(*PENCILS["tip_scalar"])
+    eigs = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)
+    # shifting the first eigenvalue to -2 leaves the inertia count at 1
+    shifted = K - (eigs[0] + 2.0) * M
+    cap = 0.5 * (eigs[0] + eigs[1]) - eigs[0] - 2.0
+    with pytest.raises(ConvergenceError, match="not positive definite"):
+        solve_pencil(shifted, M, cap)
+
+
+@st.composite
+def conical_profiles(draw):
+    """1-3 conical segments between a tip or an absolute end and another."""
+    nseg = draw(st.integers(1, 3))
+    radius = draw(st.sampled_from([0.0, 1.0])) * draw(st.floats(0.3, 1.5))
+    segments = []
+    for i in range(nseg):
+        last = i == nseg - 1
+        grow = radius == 0.0 or draw(st.booleans())
+        if grow:
+            nxt = radius + draw(st.floats(0.3, 1.5))
+            segments.append(geo.Segment(radius, nxt, +1))
+        else:
+            nxt = 0.0 if last and draw(st.booleans()) else radius * draw(st.floats(0.2, 0.7))
+            segments.append(geo.Segment(nxt, radius, -1))
+        radius = nxt
+    ends = [geo.BCKind.REGULAR_TIP if r == 0.0 else geo.BCKind.ABSOLUTE for r in (
+        segments[0].radius_at_entry(), segments[-1].radius_at_exit())]
+    return geo.Profile(segments=tuple(segments), start_bc=ends[0], end_bc=ends[1])
+
+
+@settings(max_examples=12, deadline=None)
+@given(profile=conical_profiles(), data=st.data())
+def test_solve_pencil_matches_dense_on_random_profiles(profile, data):
+    n = data.draw(st.sampled_from([2, 3]))
+    prob = data.draw(st.sampled_from(problems_for(profile, n, data.draw(st.integers(0, n)))))
+    K, M, _ = _assemble(prob, make_mesh(profile, MeshSpec(h=0.1, tip_floor=0.25)))
+    eigs = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)
+    k = data.draw(st.integers(1, min(8, len(eigs) - 2)))
+    # a cap halfway between two eigenvalues keeps the count away from rounding
+    vals, _ = solve_pencil(K, M, 0.5 * (eigs[k - 1] + eigs[k]))
+    assert len(vals) == k
+    assert vals == pytest.approx(eigs[:k], rel=1e-9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
