@@ -26,7 +26,7 @@ from .errors import (
     ZeroModeMismatchError,
 )
 from .geometry import Profile, SeamKind, connected_sum_profile, cover_profiles
-from .radial.fem import FemField, MeshSpec, fem_spectrum
+from .radial.fem import FemField, MeshSpec, coarse_count, fem_spectrum
 from .radial.firstorder import first_order_kernel
 from .radial.problems import ChannelProblem, Eigenvalue, EigList, degree_problems, sort_eigenvalues
 from .radial.transfer import transfer_spectrum
@@ -34,7 +34,7 @@ from .sphere_modes import CLOSED_FORM, MultiplicitySource
 
 ZERO_THRESHOLD_REL = 1e-8
 CROSS_RTOL = 1e-6
-FIRST_EXACT_WINDOW = 25.0  # first_positive_exact's initial lam_max at unit radius
+FIRST_EXACT_BOUND = 25.0  # first_positive_exact's initial enumeration bound at unit radius
 
 
 @dataclass(eq=False)
@@ -234,55 +234,62 @@ def exact_form_spectrum(
     lam_max: float,
     mesh: MeshSpec | None = None,
     source: MultiplicitySource = CLOSED_FORM,
-    _slot_cache: dict | None = None,
 ) -> np.ndarray:
-    """Positive eigenvalues on exact p-forms (with multiplicity) below lam_max.
-
-    Exact p-eigenvalues are the coexact (p-1)-eigenvalues, and the coexact
-    forms of degree p-1 are labelled by the channel structure: the coclosed
-    alpha slots of degree p-1 (MINUS_HALF and exceptional) and, through the
-    PLUS_HALF pairing, the closed MINUS_HALF beta slots of degree p.  This is
-    the positive FEM spectrum of those scalar problems, solved and checked
-    as in assemble_spectrum (``_slot_spectrum``): their zero modes are
-    checked against the analytic kernel and dropped.  For p = 1 it is the
-    positive spectrum on functions.  ``_slot_cache`` is shared with
-    assemble_spectrum's.
-    """
+    """Positive eigenvalues on exact p-forms (with multiplicity) below lam_max:
+    the FEM spectra of the ``_exact_slots``, zero modes checked and dropped as
+    in assemble_spectrum.  For p = 1 it is the positive spectrum on functions."""
     if p < 1:
         raise DomainError("exact forms need p >= 1")
     mesh = mesh or MeshSpec()
     zero_floor = ZERO_THRESHOLD_REL * lam_max
-    alpha = degree_problems(profile, n, p - 1, lam_max, source)[0]
-    beta = degree_problems(profile, n, p, lam_max, source)[0]
-    problems = [pr for pr in alpha if pr.slots == (ALPHA,)] + [
-        pr for pr in beta if pr.slots == (BETA,) and pr.block.family is Family.MINUS_HALF
-    ]
-    cache = _slot_cache if _slot_cache is not None else {}
     out: list[float] = []
-    for prob in problems:
-        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, cache):
+    for prob in _exact_slots(profile, n, p, lam_max, source):
+        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, {}):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
 
-def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, _slot_cache=None) -> float:
-    """First positive exact-p eigenvalue, enlarging the window as needed.
+def _exact_slots(profile, n, p, lam_max, source) -> list[ChannelProblem]:
+    """Scalar slots carrying the exact p-form spectrum below lam_max (p >= 1):
+    exact p-eigenvalues are coexact (p-1)-eigenvalues, those of the coclosed
+    alpha slots of degree p-1 (MINUS_HALF and exceptional) and, through the
+    PLUS_HALF pairing, of the closed MINUS_HALF beta slots of degree p."""
+    alpha = degree_problems(profile, n, p - 1, lam_max, source)[0]
+    beta = degree_problems(profile, n, p, lam_max, source)[0]
+    return [pr for pr in alpha if pr.slots == (ALPHA,)] + [
+        pr for pr in beta if pr.slots == (BETA,) and pr.block.family is Family.MINUS_HALF
+    ]
 
-    For p = 0 this is the first positive eigenvalue on functions.  Calls
-    passing one ``_slot_cache`` solve each scalar slot of a window once.
+
+def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, _slot_cache=None) -> float:
+    """First positive exact p-eigenvalue (for p = 0 on functions, as for p = 1):
+    the least first positive eigenvalue of the ``_exact_slots``.
+
+    Slots come in increasing order of their lower bound c / R_max^2, the one
+    degree_problems' certificate rests on; the least value so far, lam*,
+    ends the search at the first bound above it.  A slot is skipped when the inertia count
+    of its coarse pencil at fem_spectrum's cap for lam* (``coarse_count``)
+    is its kernel dimension, else solved up to lam*.  Until a slot has a
+    value, slots are solved up to the enumeration bound, FIRST_EXACT_BOUND
+    at unit radius, grown fourfold.  One ``_slot_cache`` solves a slot once per cap.
     """
-    start = FIRST_EXACT_WINDOW * max(1.0, 1.0 / profile.r_max**2)
-    for lam_max in (start * 4.0**i for i in range(5)):
-        vals = (
-            exact_form_spectrum(profile, n, p, lam_max, mesh, source, _slot_cache)
-            if p >= 1
-            else assemble_spectrum(
-                profile, n, 0, lam_max, "fem", mesh, source, _slot_cache=_slot_cache
-            ).positive_values()
-        )
-        if len(vals):
-            return float(vals[0])
-    raise DomainError(f"no exact {p}-form eigenvalue found below {lam_max}")
+    mesh = mesh or MeshSpec()
+    cache = _slot_cache if _slot_cache is not None else {}
+    r2 = profile.r_max**2
+    bound = FIRST_EXACT_BOUND * max(1.0, 1.0 / r2)
+    while True:
+        best = math.inf
+        for slot in sorted(_exact_slots(profile, n, max(p, 1), bound, source), key=ChannelProblem.min_potential):
+            if slot.min_potential() / r2 > best:
+                break
+            if best < math.inf and coarse_count(slot, mesh, best) == first_order_kernel(slot).dim:
+                continue
+            lam = min(best, bound)
+            pos = _slot_spectrum(slot, lam, "fem", mesh, CROSS_RTOL, ZERO_THRESHOLD_REL * lam, cache)
+            best = pos[0].value if pos else best
+        if best < math.inf:
+            return best
+        bound *= 4.0
 
 
 def partition_gradient_constant(eps: float) -> float:
@@ -320,19 +327,17 @@ def mcgowan_report(
 
     mu^p(U) is the first positive eigenvalue on exact p-forms of the cover
     element with absolute boundary conditions; for p = 1 the U12 input is the
-    first positive Neumann eigenvalue on functions.  U2 and U12 are exact
-    eps-scalings of unit-size profiles, so they are solved once at unit scale
-    and rescaled by 1/eps^2 (cached across the sweep via ``_unit_cache``).
+    first positive Neumann eigenvalue on functions; first_positive_exact's
+    search finds each.  U2 and U12 are exact eps-scalings of unit-size
+    profiles, so they are solved once at unit scale and rescaled by 1/eps^2
+    (cached across the sweep via ``_unit_cache``).
     """
     if not 1 <= p <= n:
         raise DomainError(f"McGowan bound applies for 1 <= p <= n, got p={p}")
     mesh = mesh or MeshSpec()
-    u1 = cover_profiles(m_eps, eps)[0]
-    mu1 = first_positive_exact(u1, n, p, mesh, source)
+    mu1 = first_positive_exact(cover_profiles(m_eps, eps)[0], n, p, mesh, source)
     cache = _unit_cache if _unit_cache is not None else {}
-    unit_mu2, unit_mu12 = _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache, {})
-    mu2 = unit_mu2 / eps**2
-    mu12 = unit_mu12 / eps**2
+    mu2, mu12 = (mu / eps**2 for mu in _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache, {}))
     c_rho_val = partition_gradient_constant(eps) if c_rho is None else c_rho
     return McGowanReport(
         eps=eps,

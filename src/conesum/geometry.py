@@ -136,16 +136,6 @@ class Profile:
     def r_max(self) -> float:
         return max(seg.r_hi for seg in self.segments)
 
-    @property
-    def r_min_interior(self) -> float:
-        """Smallest radius away from tips (seam or boundary radii)."""
-        radii = [s.radius for s in self.seams]
-        if self.start_bc is not BCKind.REGULAR_TIP:
-            radii.append(self.start_radius)
-        if self.end_bc is not BCKind.REGULAR_TIP:
-            radii.append(self.end_radius)
-        return min(radii) if radii else self.r_max
-
     def radius(self, t: float) -> float:
         ts = self.breakpoints
         if not -_TOL <= t <= ts[-1] + _TOL:

@@ -20,9 +20,9 @@ which :func:`band_assemble` scatters with one ``np.bincount`` per matrix
 straight into LAPACK's upper band storage.  Tips, Dirichlet-like ends and
 absolute beta slots drop their dofs by an index map; an APS end, whose
 constraint mixes the two slots, merges its two dofs along the null vector.
-:func:`solve_pencil` counts the eigenvalues below a cap by Sylvester's law
-of inertia (spectrum slicing, Ericsson-Ruhe 1980) and computes that many by
-shift-invert ARPACK through a banded Cholesky factorisation.  It is the
+:func:`inertia_count` counts the eigenvalues below a cap by Sylvester's law
+of inertia (spectrum slicing, Ericsson-Ruhe 1980); :func:`solve_pencil`
+computes that many by shift-invert ARPACK on a banded Cholesky.  It is the
 only eigensolver of the package; the Sturm-Liouville oracle assembles its
 own pencil with :func:`band_assemble` and solves it here too.
 """
@@ -226,33 +226,37 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
     return K, M, (target, weight)
 
 
-def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float, want_vectors: bool = False):
-    """All eigenvalues below lam_cap of the banded pencil K x = lam M x, ascending.
-
-    K and M are in upper band storage.  The count is the number of negative
-    pivots of an LDL^T factorisation of K - lam_cap M (natural-order sparse
-    LU without pivoting; Sylvester's law of inertia).  That many eigenpairs
-    come from shift-invert ARPACK at sigma = -1 on U^-T M U^-1, with
-    K + M = U^T U a banded Cholesky factorisation: its eigenvalues are
-    nu = 1 / (lam + 1), and standard mode 3 returns sigma + 1/nu = lam with
-    no M-products.  ARPACK never applies eigsh's first argument in this
-    mode; K goes there for its shape.  ``want_vectors`` returns U^-1 y for
-    ARPACK's vectors y, M-orthonormal, as columns, else None.  Raises
-    ConvergenceError if the inertia factorisation pivots, if the count
-    leaves ARPACK no room (count >= n - 1), if K + M is not positive
-    definite, or if an eigenvalue returned is not below the cap.
-    """
-    bw, n = K.shape[0] - 1, K.shape[1]
+def inertia_count(K: np.ndarray, M: np.ndarray, lam_cap: float) -> int:
+    """Eigenvalues below lam_cap of the banded pencil K x = lam M x: negative pivots of
+    K - lam_cap M = L D L^T (Sylvester), by a sparse LU that must not pivot."""
     lu = splinalg.splu(
         band_to_sparse(K - lam_cap * M).tocsc(),
         permc_spec="NATURAL",
         diag_pivot_thresh=0.0,
         options={"SymmetricMode": True},
     )
-    natural = np.arange(n)
+    natural = np.arange(K.shape[1])
     if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
         raise ConvergenceError("inertia count needs a factorisation without pivoting")
-    count = int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+
+
+def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float, want_vectors: bool = False):
+    """All eigenvalues below lam_cap of the banded pencil K x = lam M x, ascending.
+
+    K and M are in upper band storage.  :func:`inertia_count` gives the
+    count; that many eigenpairs come from shift-invert ARPACK at sigma = -1
+    on U^-T M U^-1, with K + M = U^T U a banded Cholesky factorisation: its
+    eigenvalues are nu = 1 / (lam + 1), and standard mode 3 returns
+    sigma + 1/nu = lam with no M-products.  ARPACK never applies eigsh's
+    first argument in this mode; K goes there for its shape.
+    ``want_vectors`` returns U^-1 y for ARPACK's vectors y, M-orthonormal,
+    as columns, else None.  Raises ConvergenceError if the count leaves
+    ARPACK no room (count >= n - 1), if K + M is not positive definite, or
+    if an eigenvalue returned is not below the cap.
+    """
+    bw, n = K.shape[0] - 1, K.shape[1]
+    count = inertia_count(K, M, lam_cap)
     if count >= n - 1:
         raise ConvergenceError(f"{count} eigenvalues below {lam_cap} in a pencil of size {n}")
     if count == 0:
@@ -308,6 +312,18 @@ def _check_resolution(profile: Profile, nodes: np.ndarray):
             )
 
 
+def pencil_cap(lam_max: float) -> float:
+    """fem_spectrum's cap: the Richardson value can lie below both meshes' values."""
+    return lam_max * 1.25 + 1.0
+
+
+def coarse_count(problem: ChannelProblem, mesh: MeshSpec, lam_max: float) -> int:
+    """Coarse-mesh eigenvalues below pencil_cap(lam_max), one inertia count:
+    fem_spectrum(problem, mesh, lam_max) returns at most this many."""
+    K, M, _ = _assemble(problem, make_mesh(problem.profile, mesh))
+    return inertia_count(K, M, pencil_cap(lam_max))
+
+
 def single_mesh_eigenvalues(problem: ChannelProblem, nodes: np.ndarray, lam_max: float) -> np.ndarray:
     """Raw (unextrapolated) eigenvalues on one mesh; used by convergence studies."""
     K, M, _ = _assemble(problem, nodes)
@@ -331,7 +347,7 @@ def fem_spectrum(
     nodes1 = make_mesh(problem.profile, mesh)
     _check_resolution(problem.profile, nodes1)
     nodes2 = refine_mesh(nodes1)
-    lam_cap = lam_max * 1.25 + 1.0
+    lam_cap = pencil_cap(lam_max)
 
     vals1 = single_mesh_eigenvalues(problem, nodes1, lam_cap)
     K2, M2, (target, weight) = _assemble(problem, nodes2)

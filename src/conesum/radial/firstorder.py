@@ -170,16 +170,3 @@ def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> K
         n_rows=mat.shape[0],
     )
 
-
-def analytic_zero_modes(problems: list[ChannelProblem], rank_tol: float = RANK_TOL) -> tuple[int, dict]:
-    """Zero-mode count (with sphere multiplicity) of a fixed-degree problem set."""
-    total = 0
-    detail = {}
-    for prob in problems:
-        res = first_order_kernel(prob, rank_tol)
-        if res.dim:
-            total += res.dim * prob.multiplicity
-            detail[prob.label] = res.dim
-        if res.near_singular:
-            detail.setdefault("near_singular", []).append(prob.label)
-    return total, detail

@@ -174,13 +174,60 @@ def test_coupled_problems_without_slot_reduction():
     assert all((e.problem.label, e.index) in res.fields for e in coupled)
 
 
-def test_first_positive_exact_names_the_last_window(monkeypatch):
+def test_first_positive_exact_grows_its_enumeration_bound(monkeypatch):
+    # below a bound too small for any positive eigenvalue, every slot comes
+    # back empty; the bound grows fourfold until one has a value
     import conesum.analysis as analysis
 
-    monkeypatch.setattr(analysis, "exact_form_spectrum", lambda *args: np.empty(0))
-    last = analysis.FIRST_EXACT_WINDOW * 4.0**4
-    with pytest.raises(DomainError, match=f"below {last}$"):
-        first_positive_exact(spindle(1.0), 2, 1, MESH)
+    prof = spindle(1.0)
+    expected = first_positive_exact(prof, 2, 1, MESH)
+    caps = []
+    real = analysis.fem_spectrum
+    monkeypatch.setattr(analysis, "fem_spectrum", lambda prob, mesh, cap: caps.append(cap) or real(prob, mesh, cap))
+    monkeypatch.setattr(analysis, "FIRST_EXACT_BOUND", 0.01)
+    assert first_positive_exact(prof, 2, 1, MESH) == pytest.approx(expected, rel=1e-10)
+    grown = sorted({c for c in caps if c < expected})
+    assert len(grown) >= 2
+    assert grown == pytest.approx([0.01 * 4.0**i for i in range(len(grown))], rel=1e-12)
+
+
+# (eps, p) -> (mu^p(U1), mu^p(U2), mu^{p-1}(U12), bound) of the default sweep,
+# frozen from the windowed search that solved whole exact-form spectra
+DEFAULT_SWEEP_MCGOWAN = {
+    (0.2, 1): (4.280566222435638, 20.16481123042403, 21.16616855065401, 1.0210040635009736),
+    (0.2, 2): (7.1720455885609615, 29.26603749693629, 21.16616855065401, 1.6656367001801096),
+    (0.1, 1): (4.326018024775083, 80.65924492169611, 84.66467420261604, 1.1872103970365164),
+    (0.1, 2): (7.481922952620969, 117.06414998774515, 84.66467420261604, 2.0334614628788397),
+    (0.05, 1): (4.332080464522471, 322.63697968678446, 338.65869681046416, 1.23604088456649),
+    (0.05, 2): (7.522214963140353, 468.2565999509806, 338.65869681046416, 2.1406880479774837),
+    (0.025, 1): (4.332848492273436, 1290.5479187471378, 1354.6347872418567, 1.2486671736030448),
+    (0.025, 2): (7.527217414317854, 1873.0263998039225, 1354.6347872418567, 2.1678112995932524),
+}
+
+
+def test_default_sweep_mcgowan_inputs_are_frozen():
+    cache: dict = {}
+    for (eps, p), frozen in DEFAULT_SWEEP_MCGOWAN.items():
+        m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps)
+        rep = mcgowan_report(m_eps, 2, p, eps, MESH, _unit_cache=cache)
+        assert (rep.mu_p_u1, rep.mu_p_u2, rep.mu_pm1_u12, rep.bound) == pytest.approx(frozen, rel=1e-10)
+
+
+def test_first_positive_exact_solves_only_slots_that_can_win(monkeypatch):
+    # unit U2 at p = 2: the whole exact-form spectrum below 25 takes 18 slot
+    # solves; the search solves the two slots whose lower bound is below lam*
+    import conesum.analysis as analysis
+
+    eps = 0.2
+    u2 = cover_profiles(connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps), eps)[1]
+    u2 = u2.scaled(1.0 / eps)
+    solved = []
+    real = analysis.fem_spectrum
+    monkeypatch.setattr(analysis, "fem_spectrum", lambda prob, *args: solved.append(prob) or real(prob, *args))
+    lam = first_positive_exact(u2, 2, 2, MESH)
+    assert lam == pytest.approx(DEFAULT_SWEEP_MCGOWAN[(eps, 2)][1] * eps**2, rel=1e-10)
+    assert len(solved) == 2
+    assert all(prob.min_potential() / u2.r_max**2 <= lam for prob in solved)
 
 
 def test_mcgowan_formula_examples():
