@@ -30,7 +30,6 @@ from .radial.fem import FemField, MeshSpec, coarse_count, fem_spectrum
 from .radial.firstorder import first_order_kernel
 from .radial.problems import ChannelProblem, Eigenvalue, EigList, degree_problems, sort_eigenvalues
 from .radial.transfer import transfer_spectrum
-from .sphere_modes import CLOSED_FORM, MultiplicitySource
 
 ZERO_THRESHOLD_REL = 1e-8
 CROSS_RTOL = 1e-6
@@ -79,7 +78,6 @@ def assemble_spectrum(
     lam_max: float,
     method: str = "fem",
     mesh: MeshSpec | None = None,
-    source: MultiplicitySource = CLOSED_FORM,
     cross_rtol: float = CROSS_RTOL,
     zero_threshold_rel: float = ZERO_THRESHOLD_REL,
     want_fields: bool = False,
@@ -108,7 +106,7 @@ def assemble_spectrum(
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
     mesh = mesh or MeshSpec()
-    problems, certificate = degree_problems(profile, n, p, lam_max, source, cap_factor)
+    problems, certificate = degree_problems(profile, n, p, lam_max, cap_factor)
     zero_floor = zero_threshold_rel * lam_max
     cache = _slot_cache if _slot_cache is not None else {}
 
@@ -233,7 +231,6 @@ def exact_form_spectrum(
     p: int,
     lam_max: float,
     mesh: MeshSpec | None = None,
-    source: MultiplicitySource = CLOSED_FORM,
 ) -> np.ndarray:
     """Positive eigenvalues on exact p-forms (with multiplicity) below lam_max:
     the FEM spectra of the ``_exact_slots``, zero modes checked and dropped as
@@ -243,25 +240,25 @@ def exact_form_spectrum(
     mesh = mesh or MeshSpec()
     zero_floor = ZERO_THRESHOLD_REL * lam_max
     out: list[float] = []
-    for prob in _exact_slots(profile, n, p, lam_max, source):
+    for prob in _exact_slots(profile, n, p, lam_max):
         for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, {}):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
 
-def _exact_slots(profile, n, p, lam_max, source) -> list[ChannelProblem]:
+def _exact_slots(profile, n, p, lam_max) -> list[ChannelProblem]:
     """Scalar slots carrying the exact p-form spectrum below lam_max (p >= 1):
     exact p-eigenvalues are coexact (p-1)-eigenvalues, those of the coclosed
     alpha slots of degree p-1 (MINUS_HALF and exceptional) and, through the
     PLUS_HALF pairing, of the closed MINUS_HALF beta slots of degree p."""
-    alpha = degree_problems(profile, n, p - 1, lam_max, source)[0]
-    beta = degree_problems(profile, n, p, lam_max, source)[0]
+    alpha = degree_problems(profile, n, p - 1, lam_max)[0]
+    beta = degree_problems(profile, n, p, lam_max)[0]
     return [pr for pr in alpha if pr.slots == (ALPHA,)] + [
         pr for pr in beta if pr.slots == (BETA,) and pr.block.family is Family.MINUS_HALF
     ]
 
 
-def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, _slot_cache=None) -> float:
+def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
     """First positive exact p-eigenvalue (for p = 0 on functions, as for p = 1):
     the least first positive eigenvalue of the ``_exact_slots``.
 
@@ -279,7 +276,7 @@ def first_positive_exact(profile, n, p, mesh=None, source=CLOSED_FORM, _slot_cac
     bound = FIRST_EXACT_BOUND * max(1.0, 1.0 / r2)
     while True:
         best = math.inf
-        for slot in sorted(_exact_slots(profile, n, max(p, 1), bound, source), key=ChannelProblem.min_potential):
+        for slot in sorted(_exact_slots(profile, n, max(p, 1), bound), key=ChannelProblem.min_potential):
             if slot.min_potential() / r2 > best:
                 break
             if best < math.inf and coarse_count(slot, mesh, best) == first_order_kernel(slot).dim:
@@ -318,7 +315,6 @@ def mcgowan_report(
     p: int,
     eps: float,
     mesh: MeshSpec | None = None,
-    source: MultiplicitySource = CLOSED_FORM,
     omega: float = 1.0,
     c_rho: float | None = None,
     _unit_cache: dict | None = None,
@@ -335,9 +331,9 @@ def mcgowan_report(
     if not 1 <= p <= n:
         raise DomainError(f"McGowan bound applies for 1 <= p <= n, got p={p}")
     mesh = mesh or MeshSpec()
-    mu1 = first_positive_exact(cover_profiles(m_eps, eps)[0], n, p, mesh, source)
+    mu1 = first_positive_exact(cover_profiles(m_eps, eps)[0], n, p, mesh)
     cache = _unit_cache if _unit_cache is not None else {}
-    mu2, mu12 = (mu / eps**2 for mu in _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache, {}))
+    mu2, mu12 = (mu / eps**2 for mu in _unit_cover_inputs(m_eps, n, p, eps, mesh, cache, {}))
     c_rho_val = partition_gradient_constant(eps) if c_rho is None else c_rho
     return McGowanReport(
         eps=eps,
@@ -351,15 +347,15 @@ def mcgowan_report(
     )
 
 
-def _unit_cover_inputs(m_eps, n, p, eps, mesh, source, cache: dict, slot_cache: dict) -> tuple[float, float]:
+def _unit_cover_inputs(m_eps, n, p, eps, mesh, cache: dict, slot_cache: dict) -> tuple[float, float]:
     """Unit-scale mu^p(U2) and mu^{p-1}(U12), which do not depend on eps, cached
     under ("u2", p) and ("u12", p - 1); ``slot_cache`` lets U12's degrees share slots."""
     _, u2, u12 = cover_profiles(m_eps, eps)
     key_u2, key_u12 = ("u2", p), ("u12", p - 1)
     if key_u2 not in cache:
-        cache[key_u2] = first_positive_exact(u2.scaled(1.0 / eps), n, p, mesh, source, slot_cache)
+        cache[key_u2] = first_positive_exact(u2.scaled(1.0 / eps), n, p, mesh, slot_cache)
     if key_u12 not in cache:
-        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, source, slot_cache)
+        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, slot_cache)
     return cache[key_u2], cache[key_u12]
 
 
@@ -499,13 +495,13 @@ class SweepReport:
 
 
 def _sweep_one_eps(args: tuple) -> tuple:
-    (m1, m2, n, degrees, mcg_ps, eps, lam_max, mesh, method, source, omega, c_rho, cache) = args
+    (m1, m2, n, degrees, eps, lam_max, mesh, method, solver, omega, c_rho, cache) = args
     m_eps = connected_sum_profile(m1, m2, eps)
     mcg = {
-        p: mcgowan_report(m_eps, n, p, eps, mesh, source, omega, c_rho, cache) for p in mcg_ps
+        p: mcgowan_report(m_eps, n, p, eps, mesh, omega, c_rho, cache) for p in range(1, n + 1)
     }
     spectra = {
-        p: assemble_spectrum(m_eps, n, p, lam_max, method, mesh, source, want_fields=True)
+        p: assemble_spectrum(m_eps, n, p, lam_max, method, mesh, **solver, want_fields=True)
         for p in degrees
     }
     return eps, spectra, mcg
@@ -521,15 +517,21 @@ def sweep_epsilon(
     k_track: int,
     mesh: MeshSpec | None = None,
     method: str = "fem",
-    source: MultiplicitySource = CLOSED_FORM,
     omega: float = 1.0,
     c_rho: float | None = None,
     taka_margin: float = 1.05,
     final_rel_tol: float = 0.02,
-    mcgowan_degrees: tuple[int, ...] | None = None,
     jobs: int = 1,
+    cross_rtol: float = CROSS_RTOL,
+    zero_threshold_rel: float = ZERO_THRESHOLD_REL,
+    cap_factor: float = 1.0,
 ) -> SweepReport:
     """Collapse experiment: spectra of M_eps against M1 over a decreasing eps list.
+
+    ``cross_rtol``, ``zero_threshold_rel`` and ``cap_factor`` go to both
+    assemble_spectrum calls, the M1 reference and each M_eps.  The McGowan
+    bounds, for p = 1..n, come from first_positive_exact, which keeps
+    ZERO_THRESHOLD_REL and cap_factor 1.
 
     With jobs > 1 the per-epsilon work runs in a process pool; every task is a
     pure function, so the aggregated report is identical for any job count.
@@ -542,21 +544,21 @@ def sweep_epsilon(
     mcg: dict = {}
     zero_counts: dict = {}
 
+    solver = {"cross_rtol": cross_rtol, "zero_threshold_rel": zero_threshold_rel, "cap_factor": cap_factor}
     slot_cache: dict = {}
     ref = {
-        p: assemble_spectrum(m1, n, p, lam_max, method, mesh, source, _slot_cache=slot_cache)
+        p: assemble_spectrum(m1, n, p, lam_max, method, mesh, **solver, _slot_cache=slot_cache)
         for p in degrees
     }
-    mcg_ps = mcgowan_degrees if mcgowan_degrees is not None else tuple(range(1, n + 1))
 
     # unit-scale cover pieces are eps-independent: fill the cache once
     unit_cache: dict = {}
     unit_slots: dict = {}
     m_eps0 = connected_sum_profile(m1, m2, epsilons[0])
-    for p in mcg_ps:
-        _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, source, unit_cache, unit_slots)
+    for p in range(1, n + 1):
+        _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, unit_cache, unit_slots)
     tasks = [
-        (m1, m2, n, degrees, mcg_ps, eps, lam_max, mesh, method, source, omega, c_rho, unit_cache)
+        (m1, m2, n, degrees, eps, lam_max, mesh, method, solver, omega, c_rho, unit_cache)
         for eps in epsilons
     ]
     if jobs > 1:

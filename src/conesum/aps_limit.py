@@ -27,7 +27,6 @@ from .errors import DomainError
 from .geometry import BCKind, Profile
 from .radial.firstorder import RANK_TOL, first_order_kernel
 from .radial.problems import ChannelProblem
-from .sphere_modes import CLOSED_FORM, MultiplicitySource
 
 
 def l2_extension_rule(gamma: float) -> bool:
@@ -47,7 +46,6 @@ class ApsProblem:
     profile: Profile
     n: int
     mu_sq_max: float = 60.0
-    source: MultiplicitySource = CLOSED_FORM
 
     def __post_init__(self):
         bcs = (self.profile.start_bc, self.profile.end_bc)
@@ -83,12 +81,16 @@ class KernelReport:
         return sum(self.dims.values()) + sum(c.dim * c.multiplicity for c in self.mixed)
 
 
-def aps_kernel(problem: ApsProblem, rank_tol: float = RANK_TOL) -> KernelReport:
-    """Blockwise kernel of the limit operator with the spectral boundary condition."""
+def aps_kernel(problem: ApsProblem) -> KernelReport:
+    """Blockwise kernel of the limit operator with the spectral boundary condition.
+
+    Ranks of the matching systems are read at ``radial.firstorder.RANK_TOL``,
+    which the report carries as ``rank_tol``.
+    """
     n = problem.n
     dims = {p: 0 for p in range(n + 2)}
-    report = KernelReport(dims=dims, rank_tol=rank_tol)
-    for block in enumerate_blocks(n, problem.mu_sq_max, problem.source):
+    report = KernelReport(dims=dims)
+    for block in enumerate_blocks(n, problem.mu_sq_max):
         prob = ChannelProblem(
             profile=problem.profile,
             n=n,
@@ -97,7 +99,7 @@ def aps_kernel(problem: ApsProblem, rank_tol: float = RANK_TOL) -> KernelReport:
             slot_indices=tuple(range(block.size)),
             multiplicity=block.mode.multiplicity,
         )
-        res = first_order_kernel(prob, rank_tol)
+        res = first_order_kernel(prob)
         if res.dim == 0 and not res.near_singular:
             continue
         contrib = KernelContribution(
@@ -121,7 +123,6 @@ def parametrix_apply(
     gamma: float,
     psi: Callable[[np.ndarray], np.ndarray],
     rs: np.ndarray,
-    n_quad: int = 12,
 ) -> np.ndarray:
     """Right inverse of d/dr + gamma/r on (0, 1]:
 
@@ -129,7 +130,7 @@ def parametrix_apply(
 
     taken from 1 for gamma < 0 (so phi(1) = 0) and from 0 for gamma > 0.
     ``rs`` must be increasing points in (0, 1]; the integral is accumulated
-    with composite Gauss-Legendre panels between consecutive abscissae.
+    with composite 12-point Gauss-Legendre panels between consecutive abscissae.
     """
     if gamma == 0.0:
         raise DomainError("gamma = 0 is not in the spectrum of A")
@@ -138,7 +139,7 @@ def parametrix_apply(
         raise DomainError("rs must be strictly increasing")
     if rs[0] <= 0 or rs[-1] > 1.0 + 1e-12:
         raise DomainError("rs must lie in (0, 1]")
-    gx, gw = np.polynomial.legendre.leggauss(n_quad)
+    gx, gw = np.polynomial.legendre.leggauss(12)
 
     def panel(a: float, b: float) -> float:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)

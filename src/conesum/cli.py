@@ -215,6 +215,9 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = F
         taka_margin=cfg.checks["taka_margin"],
         final_rel_tol=cfg.checks["final_rel_tol"],
         jobs=jobs,
+        cross_rtol=cfg.solver["cross_rtol"],
+        zero_threshold_rel=cfg.solver["zero_threshold_rel"],
+        cap_factor=cfg.solver["cap_factor"],
     )
     rows = [
         [r.eps, r.degree, r.k, r.lam_eps, r.lam_m1, r.abs_err, r.rel_err, r.bord_ratio, r.mcgowan, r.zero_count]

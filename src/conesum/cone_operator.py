@@ -37,12 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .sphere_modes import (
-    CLOSED_FORM,
-    MultiplicitySource,
-    SphereMode,
-    enumerate_sphere_modes,
-)
+from .sphere_modes import SphereMode, enumerate_sphere_modes
 
 ALPHA = "alpha"  # tangential component; continuous across reflection seams
 BETA = "beta"  # dr-component; flips sign across reflection seams
@@ -169,24 +164,15 @@ def build_blocks(mode: SphereMode) -> list[ABlock]:
     ]
 
 
-def enumerate_blocks(
-    n: int,
-    mu_sq_max: float,
-    source: MultiplicitySource = CLOSED_FORM,
-) -> list[ABlock]:
+def enumerate_blocks(n: int, mu_sq_max: float) -> list[ABlock]:
     """All blocks generated by sphere modes with mu^2 <= mu_sq_max."""
     blocks: list[ABlock] = []
-    for mode in enumerate_sphere_modes(n, mu_sq_max, source):
+    for mode in enumerate_sphere_modes(n, mu_sq_max):
         blocks.extend(build_blocks(mode))
     return blocks
 
 
-def gamma_channels(
-    n: int,
-    p: int,
-    mu_sq_max: float,
-    source: MultiplicitySource = CLOSED_FORM,
-) -> list[GammaChannel]:
+def gamma_channels(n: int, p: int, mu_sq_max: float) -> list[GammaChannel]:
     """All channels of total degree p from modes with mu^2 <= mu_sq_max.
 
     A block contributes its full gamma pair whenever one of its basis slots
@@ -195,7 +181,7 @@ def gamma_channels(
     if not 0 <= p <= n + 1:
         raise DomainError(f"total degree must satisfy 0 <= p <= n+1, got p={p}")
     channels = []
-    for block in enumerate_blocks(n, mu_sq_max, source):
+    for block in enumerate_blocks(n, mu_sq_max):
         if p not in block.degrees:
             continue
         for i, g in enumerate(block.gammas):

@@ -46,7 +46,6 @@ SCHEMA = {
             "type": "object",
             "properties": {
                 "method": {"enum": ["fem", "secular", "both"]},
-                "fem_order": {"type": "integer"},
                 "mesh_h": {"type": "number", "exclusiveMinimum": 0},
                 "grading": {"type": "boolean"},
                 "cross_rtol": {"type": "number", "exclusiveMinimum": 0},
@@ -96,7 +95,6 @@ DEFAULTS = {
     "k_track": 5,
     "solver": {
         "method": "fem",
-        "fem_order": 2,
         "mesh_h": 0.02,
         "grading": True,
         "cross_rtol": 1e-6,
@@ -202,8 +200,6 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
         jsonschema.validate(merged, SCHEMA)
     except jsonschema.ValidationError as exc:
         raise ConfigError(f"config schema violation: {exc.message}") from exc
-    if merged["solver"]["fem_order"] != 2:
-        raise ConfigError("only quadratic elements (fem_order = 2) are implemented")
     eps = merged["epsilons"]
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")

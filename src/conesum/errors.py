@@ -10,7 +10,7 @@ class DomainError(ConesumError, ValueError):
 
 
 class UnsupportedMultiplicityError(ConesumError, LookupError):
-    """The configured multiplicity source does not cover the requested mode."""
+    """The closed-form sphere multiplicity is not an integer at the requested mode."""
 
 
 class EnumerationError(ConesumError):

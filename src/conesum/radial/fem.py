@@ -51,6 +51,7 @@ _N = np.stack(
 _DN = np.stack([4 * _QX - 3, 4 - 8 * _QX, 4 * _QX - 1], axis=1)
 
 CONV_RTOL = 1e-4  # largest accepted Richardson estimate, relative to max(|lam|, 1)
+MIN_ELEMENTS = 2  # fewest elements on any segment
 
 
 @dataclass(frozen=True)
@@ -60,10 +61,9 @@ class MeshSpec:
     h: float = 0.02
     radial_fraction: float = 0.1
     tip_floor: float = 1.0 / 64.0  # smallest element as a fraction of h
-    min_elements: int = 2
 
     def scaled(self, c: float) -> "MeshSpec":
-        return MeshSpec(self.h * c, self.radial_fraction, self.tip_floor, self.min_elements)
+        return MeshSpec(self.h * c, self.radial_fraction, self.tip_floor)
 
 
 def _segment_radii(r_lo: float, r_hi: float, spec: MeshSpec) -> np.ndarray:
@@ -78,8 +78,8 @@ def _segment_radii(r_lo: float, r_hi: float, spec: MeshSpec) -> np.ndarray:
         r = r + step
         radii.append(r)
     pts = np.array(radii)
-    if len(pts) - 1 < spec.min_elements:
-        pts = np.linspace(r_lo, r_hi, spec.min_elements + 1)
+    if len(pts) - 1 < MIN_ELEMENTS:
+        pts = np.linspace(r_lo, r_hi, MIN_ELEMENTS + 1)
     # rescale interior offsets so the last point lands exactly on r_hi
     pts = r_lo + (pts - r_lo) * (r_hi - r_lo) / (pts[-1] - r_lo)
     return pts

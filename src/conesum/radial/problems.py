@@ -39,7 +39,6 @@ import numpy as np
 from ..cone_operator import ALPHA, BETA, ABlock, build_blocks, enumerate_blocks
 from ..errors import DomainError, EnumerationError
 from ..geometry import BCKind, Profile, Segment
-from ..sphere_modes import CLOSED_FORM, MultiplicitySource
 
 
 @dataclass(frozen=True, eq=False)
@@ -257,7 +256,6 @@ def degree_problems(
     n: int,
     p: int,
     lam_max: float,
-    source: MultiplicitySource = CLOSED_FORM,
     cap_factor: float = 1.0,
 ) -> tuple[list[ChannelProblem], dict]:
     """All channel problems of degree p that can produce eigenvalues <= lam_max.
@@ -283,7 +281,7 @@ def degree_problems(
     mu_sq_cut = (1.0 + math.sqrt(cap + 0.25)) ** 2
     problems: list[ChannelProblem] = []
     excluded: list[tuple[str, float]] = []
-    for block in enumerate_blocks(n, mu_sq_cut, source):
+    for block in enumerate_blocks(n, mu_sq_cut):
         if p not in block.degrees:
             continue
         slots = tuple(i for i, d in enumerate(block.degrees) if d == p)

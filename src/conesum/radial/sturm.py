@@ -26,7 +26,7 @@ import numpy as np
 
 from ..errors import DomainError
 from ..geometry import BCKind, Profile
-from ..sphere_modes import CLOSED_FORM, enumerate_sphere_modes
+from ..sphere_modes import enumerate_sphere_modes
 from .fem import band_assemble, solve_pencil
 
 _GX, _GW = np.polynomial.legendre.leggauss(6)
@@ -74,13 +74,7 @@ def _mode_eigs(profile: Profile, n: int, mu_sq: float, lam_max: float, h: float)
     return solve_pencil(K, M, lam_max)[0]
 
 
-def sturm_liouville_oracle(
-    profile: Profile,
-    n: int,
-    lam_max: float,
-    h: float = 0.02,
-    source=CLOSED_FORM,
-) -> np.ndarray:
+def sturm_liouville_oracle(profile: Profile, n: int, lam_max: float, h: float = 0.02) -> np.ndarray:
     """Sorted p = 0 spectrum (with multiplicity) up to lam_max, two-mesh extrapolated.
 
     Supports natural (absolute) boundaries and closed profiles; a profile
@@ -91,7 +85,7 @@ def sturm_liouville_oracle(
             raise DomainError("oracle supports tips and absolute boundaries only")
     out: list[float] = []
     r_max = profile.r_max
-    for mode in enumerate_sphere_modes(n, max(lam_max * r_max * r_max, 1.0), source):
+    for mode in enumerate_sphere_modes(n, max(lam_max * r_max * r_max, 1.0)):
         if mode.q != 0:
             continue
         coarse = _mode_eigs(profile, n, mode.mu_sq, lam_max * 1.3 + 1.0, h)

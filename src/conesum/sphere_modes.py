@@ -18,6 +18,9 @@ in the test suite:
     the classical counts (2k+1 on S^2, (k+1)^2 on S^3, ...);
   * both formulas are symmetric under q <-> n - 1 - q (Hodge duality).
 
+coexact_multiplicity also checks on every call that the quotient is an
+exact integer.
+
 The two harmonic exceptions (constants at q = 0, the volume form at q = n)
 are carried with the marker HARMONIC instead of a level k, so the k-indexing
 of the coexact families stays intact.
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Union
+from typing import Union
 
 from .errors import DomainError, UnsupportedMultiplicityError
 
@@ -35,12 +38,6 @@ from .errors import DomainError, UnsupportedMultiplicityError
 HARMONIC = "harmonic"
 
 Level = Union[int, str]
-
-#: Sources accepted by :func:`coexact_multiplicity`: the built-in closed form,
-#: an explicit table keyed by (n, q, k), or a callable hook.
-MultiplicitySource = Union[str, Mapping, Callable[[int, int, int], int]]
-
-CLOSED_FORM = "closed-form"
 
 
 @dataclass(frozen=True)
@@ -83,41 +80,26 @@ def coexact_eigenvalue(n: int, q: int, k: int) -> float:
     return float((k + q) * (k + n - q - 1))
 
 
-def coexact_multiplicity(n: int, q: int, k: int, source: MultiplicitySource = CLOSED_FORM) -> int:
-    """Dimension of the coexact q-eigenspace of S^n at level k.
-
-    ``source`` selects where the count comes from: the validated closed form
-    (default), a user table mapping (n, q, k) to an integer, or a callable.
-    A table or callable that does not cover (n, q, k) raises
-    UnsupportedMultiplicityError rather than guessing.
+def coexact_multiplicity(n: int, q: int, k: int) -> int:
+    """Dimension of the coexact q-eigenspace of S^n at level k, by the closed
+    form.  The quotient is an exact integer; a remainder would be a bug and
+    raises UnsupportedMultiplicityError rather than being rounded away.
     """
     _check_nq(n, q)
     if not (isinstance(k, int) and k >= 1):
         raise DomainError(f"level must be an integer >= 1, got k={k!r}")
-    if source == CLOSED_FORM:
-        num = (2 * k + n - 1) * math.factorial(k + n - 1)
-        den = (
-            math.factorial(k - 1)
-            * math.factorial(q)
-            * math.factorial(n - q - 1)
-            * (k + q)
-            * (k + n - q - 1)
-        )
-        mult, rem = divmod(num, den)
-        if rem:  # the closed form is an exact integer; anything else is a bug
-            raise UnsupportedMultiplicityError(f"closed form not integral at (n,q,k)=({n},{q},{k})")
-        return mult
-    if callable(source):
-        value = source(n, q, k)
-        if value is None:
-            raise UnsupportedMultiplicityError(f"multiplicity hook does not cover (n,q,k)=({n},{q},{k})")
-        return int(value)
-    try:
-        return int(source[(n, q, k)])
-    except KeyError:
-        raise UnsupportedMultiplicityError(
-            f"multiplicity table does not cover (n,q,k)=({n},{q},{k})"
-        ) from None
+    num = (2 * k + n - 1) * math.factorial(k + n - 1)
+    den = (
+        math.factorial(k - 1)
+        * math.factorial(q)
+        * math.factorial(n - q - 1)
+        * (k + q)
+        * (k + n - q - 1)
+    )
+    mult, rem = divmod(num, den)
+    if rem:
+        raise UnsupportedMultiplicityError(f"closed form not integral at (n,q,k)=({n},{q},{k})")
+    return mult
 
 
 def harmonic_modes(n: int) -> list[SphereMode]:
@@ -130,11 +112,7 @@ def harmonic_modes(n: int) -> list[SphereMode]:
     ]
 
 
-def enumerate_sphere_modes(
-    n: int,
-    mu_sq_max: float,
-    source: MultiplicitySource = CLOSED_FORM,
-) -> list[SphereMode]:
+def enumerate_sphere_modes(n: int, mu_sq_max: float) -> list[SphereMode]:
     """All modes of S^n with mu^2 <= mu_sq_max, sorted by (q, mu^2).
 
     The harmonic exceptions are always included.  Completeness holds because
@@ -151,9 +129,7 @@ def enumerate_sphere_modes(
             mu_sq = coexact_eigenvalue(n, q, k)
             if mu_sq > mu_sq_max:
                 break
-            modes.append(
-                SphereMode(n=n, q=q, k=k, mu_sq=mu_sq, multiplicity=coexact_multiplicity(n, q, k, source))
-            )
+            modes.append(SphereMode(n=n, q=q, k=k, mu_sq=mu_sq, multiplicity=coexact_multiplicity(n, q, k)))
             k += 1
     modes.sort(key=lambda m: (m.q, m.mu_sq, 0 if m.harmonic else m.k))
     return modes

@@ -141,7 +141,6 @@ def test_slot_cache_solves_each_slot_once(monkeypatch):
 def test_unit_cover_inputs_solve_each_slot_once(monkeypatch):
     # mu^0(U12) for p = 1 and mu^1(U12) for p = 2 share U12's degree-0 slots
     import conesum.analysis as analysis
-    from conesum.sphere_modes import CLOSED_FORM
 
     eps = 0.1
     prof = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps)
@@ -156,7 +155,7 @@ def test_unit_cover_inputs_solve_each_slot_once(monkeypatch):
     cache: dict = {}
     slots: dict = {}
     for p in (1, 2):
-        analysis._unit_cover_inputs(prof, 2, p, eps, MESH, CLOSED_FORM, cache, slots)
+        analysis._unit_cover_inputs(prof, 2, p, eps, MESH, cache, slots)
     assert sorted(cache) == [("u12", 0), ("u12", 1), ("u2", 1), ("u2", 2)]
     assert len(solved) == len(set(solved))
     assert cache[("u12", 1)] == pytest.approx(cache[("u12", 0)], rel=1e-9)

@@ -63,8 +63,8 @@ def test_kernel_labels_tell_degrees_apart(monkeypatch):
 
     real = aps_limit.first_order_kernel
 
-    def dim_one(prob, rank_tol):
-        return dataclasses.replace(real(prob, rank_tol), dim=1, near_singular=True)
+    def dim_one(prob):
+        return dataclasses.replace(real(prob), dim=1, near_singular=True)
 
     monkeypatch.setattr(aps_limit, "first_order_kernel", dim_one)
     rep = aps_kernel(ApsProblem(profile=aps_m2(), n=2, mu_sq_max=10.0))

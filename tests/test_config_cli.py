@@ -136,6 +136,15 @@ def test_sweep_command_small(tmp_path):
     assert (tmp_path / "plots" / "error_vs_eps.svg").exists()
 
 
+def test_sweep_honours_solver_fields(tmp_path, capsys):
+    # a zero floor above the first positive eigenvalue must fail the sweep
+    # as it fails `spectrum`, not be dropped
+    solver = {**DEFAULTS["solver"], "zero_threshold_rel": 0.5}
+    cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0, solver=solver)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ZeroModeMismatchError"
+
+
 def test_spectrum_connected_sum_flag(tmp_path):
     cfg = write_cfg(tmp_path, degrees=[0], lam_max=12.0)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--eps", "0.1"]) == 0

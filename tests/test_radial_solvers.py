@@ -483,14 +483,15 @@ def mirrored(profile):
     return geo.Profile(segments=profile.segments + back, start_bc=profile.start_bc, end_bc=profile.start_bc)
 
 
-@settings(max_examples=6, deadline=None)
-@given(
-    profile=st.one_of(
-        conical_profiles(),
-        conical_profiles().filter(lambda pr: pr.end_bc is not BCKind.REGULAR_TIP).map(mirrored),
-    ),
-    n=st.sampled_from([2, 3]),
+# random profiles, half of them reflection-symmetric
+some_mirrored = st.one_of(
+    conical_profiles(),
+    conical_profiles().filter(lambda pr: pr.end_bc is not BCKind.REGULAR_TIP).map(mirrored),
 )
+
+
+@settings(max_examples=6, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]))
 def test_first_positive_exact_matches_whole_spectrum_on_random_profiles(profile, n):
     from conesum.analysis import FIRST_EXACT_BOUND, assemble_spectrum, exact_form_spectrum, first_positive_exact
 
@@ -507,6 +508,20 @@ def test_first_positive_exact_matches_whole_spectrum_on_random_profiles(profile,
         else:
             whole = assemble_spectrum(profile, n, 0, cap, mesh=mesh).positive_values()
         assert lam == pytest.approx(whole[0], rel=1e-10), p
+
+
+@settings(max_examples=8, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]), c=st.floats(0.5, 2.0), data=st.data())
+def test_assembled_spectrum_scales_exactly_on_random_profiles(profile, n, c, data):
+    # M -> cM scales every eigenvalue by 1/c^2, with the mesh scaled along
+    from conesum.analysis import assemble_spectrum
+
+    p = data.draw(st.integers(0, n + 1))
+    base = assemble_spectrum(profile, n, p, 15.0, mesh=MESH)
+    scaled = assemble_spectrum(profile.scaled(c), n, p, 15.0 / c**2, mesh=MESH.scaled(c))
+    assert len(scaled.entries) == len(base.entries)
+    assert scaled.zero_count == base.zero_count
+    assert scaled.positive_values() == pytest.approx(base.positive_values() / c**2, rel=1e-9, abs=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from conesum.errors import DomainError, UnsupportedMultiplicityError
+from conesum.errors import DomainError
 from conesum.sphere_modes import (
     HARMONIC,
     coexact_eigenvalue,
@@ -102,13 +102,3 @@ def test_domain_errors():
     with pytest.raises(DomainError):
         enumerate_sphere_modes(1, 5.0)
 
-
-def test_multiplicity_table_source():
-    table = {(2, 0, 1): 3}
-    assert coexact_multiplicity(2, 0, 1, source=table) == 3
-    with pytest.raises(UnsupportedMultiplicityError):
-        coexact_multiplicity(2, 0, 2, source=table)
-    hook = lambda n, q, k: 7 if k == 1 else None
-    assert coexact_multiplicity(2, 1, 1, source=hook) == 7
-    with pytest.raises(UnsupportedMultiplicityError):
-        coexact_multiplicity(2, 1, 2, source=hook)
