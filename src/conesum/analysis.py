@@ -101,7 +101,8 @@ def assemble_spectrum(
     ``want_fields`` (with FEM) solves every channel as such, coupled ones
     included, to attach its eigenfunctions; this is the only coupled FEM
     solve.  Without it, a coupled problem with Dirichlet-like or APS ends
-    raises DomainError, since its slots do not carry its spectrum there.
+    raises DomainError, since its slots do not carry its spectrum there;
+    with it, only the APS ends raise (``ChannelProblem.endpoint``).
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
@@ -402,14 +403,15 @@ class BoundaryDiagnostics:
 def boundary_diagnostics(field: FemField, eps: float, n: int, lam: float) -> BoundaryDiagnostics:
     """Evaluate the collapse diagnostics for one normalized eigenfunction.
 
-    The field must come from a connected-sum profile; the trace is taken at
-    the gluing seam in the block coordinates of the big summand's cone, and
-    the integrals run over that cone.
+    The field must come from a connected-sum profile glued at ``eps``, else
+    DomainError; the trace is taken at the gluing seam in the block
+    coordinates of the big summand's cone, and the integrals run over that
+    cone.
     """
     prob = field.problem
     profile = prob.profile
-    if profile.glue_radius is None:
-        raise DomainError("diagnostics need a connected-sum profile")
+    if profile.glue_radius is None or abs(profile.glue_radius - eps) >= 1e-12:
+        raise DomainError(f"diagnostics need a connected-sum profile glued at eps={eps}")
     seam = next(s for s in profile.seams if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) < 1e-12)
     t_glue = seam.position
     seg_idx = profile.breakpoints.index(t_glue)  # segment starting at the seam (m1 side)

@@ -158,7 +158,6 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
     profile = cfg.m1() if eps is None else connected_sum_profile(cfg.m1(), cfg.m2(), eps)
     label = "m1" if eps is None else f"m_eps={_fmt(eps)}"
     rows = []
-    failures = []
     slot_cache: dict = {}
     for p in cfg.degrees:
         res = assemble_spectrum(
@@ -196,7 +195,7 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
         cfg,
         fmt,
     )
-    return failures
+    return []
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = False, **_):

@@ -81,10 +81,6 @@ class ABlock:
         return self.matrix @ self.matrix + self.matrix
 
     @property
-    def min_potential(self) -> float:
-        return min(g * (g + 1.0) for g in self.gammas)
-
-    @property
     def label(self) -> str:
         k = self.mode.k if not self.mode.harmonic else "H"
         return f"n{self.n}:q{self.mode.q}:k{k}:{self.family.value}"
@@ -99,11 +95,6 @@ class GammaChannel:
     multiplicity: int
     block: ABlock
     eigvec: np.ndarray
-
-    @property
-    def nu(self) -> float:
-        """Order of the Bessel solutions of the channel, |gamma + 1/2|."""
-        return abs(self.gamma + 0.5)
 
 
 def _symmetric_block(mode: SphereMode, family: Family) -> ABlock:

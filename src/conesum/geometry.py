@@ -72,11 +72,6 @@ class Seam:
     radius: float
     kind: SeamKind
 
-    @property
-    def sign(self) -> int:
-        """+1 at a radial maximum, -1 at a radial minimum."""
-        return +1 if self.kind is SeamKind.RADIAL_MAX else -1
-
 
 @dataclass(frozen=True)
 class Profile:

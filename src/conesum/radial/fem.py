@@ -17,9 +17,9 @@ which also supplies the per-eigenvalue convergence estimate.
 
 Each mesh gives one pencil K x = lam M x of half-bandwidth 3 * size - 1,
 which :func:`band_assemble` scatters with one ``np.bincount`` per matrix
-straight into LAPACK's upper band storage.  Tips, Dirichlet-like ends and
-absolute beta slots drop their dofs by an index map; an APS end, whose
-constraint mixes the two slots, merges its two dofs along the null vector.
+straight into LAPACK's upper band storage.  End conditions only drop end
+dofs, by the per-slot mask of ``ChannelProblem.endpoint``, so the kept dofs
+are renumbered in order.
 :func:`inertia_count` counts the eigenvalues below a cap by Sylvester's law
 of inertia (spectrum slicing, Ericsson-Ruhe 1980); :func:`solve_pencil`
 computes that many by shift-invert ARPACK on a banded Cholesky.  It is the
@@ -38,7 +38,7 @@ import scipy.sparse.linalg as splinalg
 from scipy.linalg import blas, lapack
 
 from ..errors import ConvergenceError, DomainError
-from ..geometry import BCKind, Profile
+from ..geometry import Profile
 from .problems import ChannelProblem, Eigenvalue, EigList
 
 # P2 shape functions on the unit reference element, nodes at 0, 1/2, 1
@@ -133,27 +133,6 @@ class FemField:
         return tq.ravel(), wq.ravel(), vals.reshape(-1, self.coeffs.shape[1])
 
 
-def _dof_map(problem: ChannelProblem, npts: int) -> tuple[np.ndarray, np.ndarray, int]:
-    """(target, weight, n): full dof i is weight[i] times constrained dof target[i].
-
-    This is the congruence T^T K T, with T the identity on interior dofs and,
-    at a tip or a constrained end, the QR null basis of its constraint rows.
-    Channels have at most two slots, so such an end keeps at most one
-    direction: its dofs either drop (weight 0) or merge into one.
-    """
-    size = problem.size
-    weight = np.ones(npts * size)
-    opens = np.ones(npts * size, dtype=bool)  # dof starts a new constrained dof
-    for which, dofs in (("start", slice(0, size)), ("end", slice(-size, None))):
-        data = problem.endpoint(which)
-        if data.bc is BCKind.REGULAR_TIP or data.constraints:
-            cmat = np.eye(size) if data.bc is BCKind.REGULAR_TIP else np.vstack(data.constraints)
-            kept = np.linalg.qr(cmat.T, mode="complete")[0][:, np.linalg.matrix_rank(cmat) :]
-            weight[dofs] = kept[:, 0] if kept.shape[1] else 0.0
-            opens[dofs] = (np.arange(size) == 0) & (kept.shape[1] > 0)
-    return np.cumsum(opens) - 1, weight, int(np.count_nonzero(opens))
-
-
 def band_assemble(rows: np.ndarray, cols: np.ndarray, n: int, bw: int, *vals: np.ndarray) -> list:
     """Symmetric matrices summing each vals at (rows, cols), in upper band storage:
     shape (bw + 1, n), A[i, j] at [bw + i - j, j] as LAPACK's ``?pbtrf`` reads it.
@@ -175,10 +154,12 @@ def band_to_sparse(ab: np.ndarray) -> sparse.dia_matrix:
 
 
 def _assemble(problem: ChannelProblem, nodes: np.ndarray):
-    """Constrained pencil (K, M) in upper band storage and its (target, weight) dof map.
+    """Pencil (K, M) in upper band storage and the mask of the dofs it keeps.
 
+    Dofs are ordered (point, slot); the end points drop the slots of
+    ``ChannelProblem.endpoint`` and kept dof i becomes cumsum(keep)[i] - 1.
     An element's three points span 3 * size consecutive dofs, hence the
-    half-bandwidth 3 * size - 1; dropping or merging end dofs never widens it.
+    half-bandwidth 3 * size - 1; dropping end dofs never widens it.
     """
     profile = problem.profile
     size = problem.size
@@ -205,8 +186,9 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
     kvals, mvals = [ke.ravel()], [mel.ravel()]
 
     # seam corner matrices and endpoint natural terms, each at one vertex
+    ends = problem.endpoint("start"), problem.endpoint("end")
     corners = list(zip(bps[1:-1], problem.seam_matrices()))
-    corners += [(t, problem.endpoint(which).k_matrix) for t, which in ((0.0, "start"), (bps[-1], "end"))]
+    corners += [(0.0, ends[0].k_matrix), (bps[-1], ends[1].k_matrix)]
     for t, mat in corners:
         if mat is not None:
             pdofs = 2 * size * int(np.argmin(np.abs(nodes - t))) + np.arange(size)
@@ -215,15 +197,17 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
             kvals.append(np.ravel(mat))
             mvals.append(np.zeros(size * size))
 
-    target, weight, n = _dof_map(problem, 2 * len(nodes) - 1)
+    keep = np.ones((2 * len(nodes) - 1, size), dtype=bool)
+    keep[0], keep[-1] = ~ends[0].drop, ~ends[1].drop
+    keep = keep.ravel()
+    target = np.cumsum(keep) - 1
     rows, cols = np.concatenate(rows), np.concatenate(cols)
-    w = weight[rows] * weight[cols]
-    kept = w != 0.0
+    kept = keep[rows] & keep[cols]
     K, M = band_assemble(
-        target[rows[kept]], target[cols[kept]], n, 3 * size - 1,
-        np.concatenate(kvals)[kept] * w[kept], np.concatenate(mvals)[kept] * w[kept],
+        target[rows[kept]], target[cols[kept]], int(np.count_nonzero(keep)), 3 * size - 1,
+        np.concatenate(kvals)[kept], np.concatenate(mvals)[kept],
     )
-    return K, M, (target, weight)
+    return K, M, keep
 
 
 def inertia_count(K: np.ndarray, M: np.ndarray, lam_cap: float) -> int:
@@ -350,7 +334,7 @@ def fem_spectrum(
     lam_cap = pencil_cap(lam_max)
 
     vals1 = single_mesh_eigenvalues(problem, nodes1, lam_cap)
-    K2, M2, (target, weight) = _assemble(problem, nodes2)
+    K2, M2, keep = _assemble(problem, nodes2)
     vals2, vecs2 = solve_pencil(K2, M2, lam_cap, want_vectors)
 
     npair = min(len(vals1), len(vals2))
@@ -374,7 +358,7 @@ def fem_spectrum(
         )
         if want_vectors:
             # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
-            coeffs = (weight * vecs2[target, i]).reshape(-1, problem.size)
-            fields.append(FemField(problem=problem, vertices=nodes2, coeffs=coeffs))
-    meta = {"nodes": len(nodes2), "fields": fields if want_vectors else None}
-    return EigList(entries=entries, meta=meta)
+            coeffs = np.zeros(len(keep))
+            coeffs[keep] = vecs2[:, i]
+            fields.append(FemField(problem=problem, vertices=nodes2, coeffs=coeffs.reshape(-1, problem.size)))
+    return EigList(entries=entries, meta={"fields": fields if want_vectors else None})

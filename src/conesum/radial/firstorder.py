@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..cone_operator import ALPHA, Family
+from ..cone_operator import Family
 from ..geometry import BCKind, Segment
 from .problems import ChannelProblem
 
@@ -113,12 +113,6 @@ def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> K
 
     rows: list[np.ndarray] = []
 
-    def add_rows(block_rows: np.ndarray, seg_idx: int, sign: float = 1.0):
-        for r in np.atleast_2d(block_rows):
-            full = np.zeros(n_unknowns)
-            full[offsets[seg_idx] : offsets[seg_idx + 1]] = sign * r
-            rows.append(full)
-
     # seam continuity of the global variables
     for i in range(len(segments) - 1):
         r_c = segments[i].radius_at_exit()
@@ -130,21 +124,19 @@ def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> K
             full[offsets[i + 1] : offsets[i + 2]] = -right[comp]
             rows.append(full)
 
-    # boundary rows at exposed ends (APS already handled by the extension)
-    for bc, seg_idx, radius in (
-        (profile.start_bc, 0, segments[0].radius_at_entry()),
-        (profile.end_bc, len(segments) - 1, segments[-1].radius_at_exit()),
+    # boundary rows at exposed ends, one per dropped slot (APS already handled
+    # by the extension)
+    for which, bc, seg_idx, radius in (
+        ("start", profile.start_bc, 0, segments[0].radius_at_entry()),
+        ("end", profile.end_bc, len(segments) - 1, segments[-1].radius_at_exit()),
     ):
         if bc in (BCKind.REGULAR_TIP, BCKind.APS):
             continue
         cols = trace_columns(seg_idx, radius)
-        if bc is BCKind.DIRICHLET_LIKE:
-            for comp in range(size):
-                add_rows(cols[comp], seg_idx)
-        elif bc is BCKind.ABSOLUTE:
-            for comp, slot in enumerate(problem.slots):
-                if slot != ALPHA:
-                    add_rows(cols[comp], seg_idx)
+        for comp in np.flatnonzero(problem.endpoint(which).drop):
+            full = np.zeros(n_unknowns)
+            full[offsets[seg_idx] : offsets[seg_idx + 1]] = cols[comp]
+            rows.append(full)
 
     if not rows:
         return KernelResult(n_unknowns, (), False, n_unknowns, 0)

@@ -38,7 +38,7 @@ import numpy as np
 
 from ..cone_operator import ALPHA, BETA, ABlock, build_blocks, enumerate_blocks
 from ..errors import DomainError, EnumerationError
-from ..geometry import BCKind, Profile, Segment
+from ..geometry import BCKind, Profile
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,74 +139,39 @@ class ChannelProblem:
         return out
 
     def endpoint(self, which: str) -> "EndpointData":
-        if which == "start":
-            seg = self.profile.segments[0]
-            bc = self.profile.start_bc
-            radius = seg.radius_at_entry()
-            s_sign = -seg.orientation
-        elif which == "end":
-            seg = self.profile.segments[-1]
-            bc = self.profile.end_bc
-            radius = seg.radius_at_exit()
-            s_sign = +seg.orientation
-        else:
+        """End condition at the profile's "start" or "end"; solvers read it only here.
+
+        ``drop`` marks the slots whose end dofs vanish: every slot at a tip
+        or a Dirichlet-like end, the BETA slot at an absolute end, and at an
+        APS end a scalar slot overlapping a negative eigenvector of its block.
+        ``k_matrix`` is the natural end term s_e (D_o A D_o) / r_e of an
+        absolute or APS end, else None.  A coupled problem at an APS end
+        raises DomainError: its condition mixes the slots, and no solver
+        meets it (the kernel count continues the profile instead).
+        """
+        if which not in ("start", "end"):
             raise DomainError(f"which must be 'start' or 'end', got {which!r}")
-        constraints: list[np.ndarray] = []
-        k_matrix = None
-        if bc is BCKind.DIRICHLET_LIKE:
-            constraints = [row for row in np.eye(self.size)]
-        elif bc is BCKind.ABSOLUTE:
-            constraints = [np.eye(self.size)[i] for i, s in enumerate(self.slots) if s == BETA]
-            k_matrix = self._endpoint_k(seg, radius, s_sign)
-        elif bc is BCKind.APS:
-            constraints = self._aps_constraints(seg, radius, which)
-            k_matrix = self._endpoint_k(seg, radius, s_sign)
-        elif bc is BCKind.REGULAR_TIP:
-            pass  # handled structurally by the solvers
-        return EndpointData(
-            bc=bc,
-            segment=seg,
-            radius=radius,
-            s_sign=s_sign,
-            constraints=constraints,
-            k_matrix=k_matrix,
-        )
-
-    def _endpoint_k(self, seg: Segment, radius: float, s_sign: int) -> np.ndarray:
+        start = which == "start"
+        seg = self.profile.segments[0 if start else -1]
+        bc = self.profile.start_bc if start else self.profile.end_bc
+        if bc in (BCKind.REGULAR_TIP, BCKind.DIRICHLET_LIKE):
+            return EndpointData(np.ones(self.size, dtype=bool), None)
+        if bc is BCKind.ABSOLUTE:
+            drop = np.array([s == BETA for s in self.slots])
+        elif self.size == 1:
+            w = self.block.eigvecs[self.slot_indices[0]]
+            drop = np.array([any(g < 0 and abs(w[i]) > 1e-14 for i, g in enumerate(self.block.gammas))])
+        else:
+            raise DomainError(f"{self.label}: coupled problem at an APS end")
+        radius = seg.radius_at_entry() if start else seg.radius_at_exit()
         d = self.orientation_signs(seg.orientation)
-        return s_sign / radius * (self.a_matrix * np.outer(d, d))
-
-    def _aps_constraints(self, seg: Segment, radius: float, which: str) -> list[np.ndarray]:
-        # Boundary data is matched to the exterior cone continuing the profile
-        # with radius increasing outward; if the boundary sits at the segment's
-        # inner (r_lo) end this crossing reverses orientation, flipping BETA.
-        at_r_lo = math.isclose(radius, seg.r_lo, rel_tol=0.0, abs_tol=1e-12)
-        flip = np.array([1.0 if s == ALPHA else -1.0 for s in self.slots]) if at_r_lo else np.ones(self.size)
-        dloc = self.orientation_signs(seg.orientation)
-        rows = []
-        for i, g in enumerate(self.block.gammas):
-            if g >= 0:
-                continue
-            if self.size == 2:
-                w = self.block.eigvecs[:, i]
-                rows.append(w * flip * dloc)
-            else:
-                # scalar slot: its boundary vector has a component on the
-                # negative eigenvector unless that overlap vanishes
-                w = self.block.eigvecs[:, i]
-                slot = self.slot_indices[0]
-                if abs(w[slot]) > 1e-14:
-                    rows.append(np.array([1.0]))
-        return rows
+        s_sign = -seg.orientation if start else seg.orientation
+        return EndpointData(drop, s_sign / radius * (self.a_matrix * np.outer(d, d)))
 
 
 @dataclass(frozen=True)
 class EndpointData:
-    bc: BCKind
-    segment: Segment
-    radius: float
-    s_sign: int
-    constraints: list
+    drop: np.ndarray  # (size,) bool: slots whose end dofs vanish
     k_matrix: np.ndarray | None
 
 

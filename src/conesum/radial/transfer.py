@@ -131,10 +131,9 @@ class _Propagator:
     def boundary_state(self, which: str) -> np.ndarray:
         """The admissible state at an exposed endpoint."""
         data = self.p.endpoint(which)
-        if data.constraints:
+        if data.drop[0]:
             return np.array([0.0, 1.0])
-        k_e = 0.0 if data.k_matrix is None else float(data.k_matrix[0, 0])
-        return np.array([1.0, (1.0 if which == "start" else -1.0) * k_e])
+        return np.array([1.0, (1.0 if which == "start" else -1.0) * float(data.k_matrix[0, 0])])
 
 
 def _normalize(state: np.ndarray) -> np.ndarray:
@@ -155,9 +154,13 @@ def secular_value(problem: ChannelProblem, lam: float, raw: bool = False) -> flo
     prop = _Propagator(problem, lam)
     profile = problem.profile
     nseg = len(profile.segments)
-    # matching breakpoint: interior breakpoint of largest radius, if any
+    # matching breakpoint: interior breakpoint of largest radius, else the
+    # single segment's non-tip end, where a tip's regular state is evaluated
     radii = [profile.segments[i].radius_at_exit() for i in range(nseg - 1)]
-    match = 1 + int(np.argmax(radii)) if radii else nseg
+    if radii:
+        match = 1 + int(np.argmax(radii))
+    else:
+        match = 0 if profile.end_bc is BCKind.REGULAR_TIP else 1
 
     # left branch, ending at breakpoint `match` seen from the left segment
     if profile.start_bc is BCKind.REGULAR_TIP:

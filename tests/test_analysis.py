@@ -162,15 +162,18 @@ def test_unit_cover_inputs_solve_each_slot_once(monkeypatch):
 
 
 def test_coupled_problems_without_slot_reduction():
-    # APS ends break the slot reduction: eigenvalues alone are refused, the
-    # coupled FEM solve behind eigenfields still runs
+    # APS ends break the slot reduction, so eigenvalues alone are refused;
+    # the coupled FEM solve behind eigenfields refuses them too, since an
+    # APS end only drops dofs of scalar slots
     prof = truncated_spindle(2.0, 1.0, bc=geo.BCKind.APS)
     with pytest.raises(DomainError, match="no scalar slot reduction"):
         assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH)
-    res = assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH, want_fields=True)
-    coupled = [e for e in res.entries if e.problem.size == 2 and e.value > 0.0]
-    assert coupled
-    assert all((e.problem.label, e.index) in res.fields for e in coupled)
+    with pytest.raises(DomainError, match="coupled problem at an APS end"):
+        assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH, want_fields=True)
+    # scalar slots at the APS end still carry eigenfields
+    res = assemble_spectrum(prof, 2, 0, 20.0, mesh=MESH, want_fields=True)
+    assert [e for e in res.entries if e.value > 0.0]
+    assert all((e.problem.label, e.index) in res.fields for e in res.entries if e.value > 0.0)
 
 
 def test_first_positive_exact_grows_its_enumeration_bound(monkeypatch):
@@ -366,6 +369,15 @@ def test_sweep_rejects_unsorted_epsilons():
                 m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0],
                 epsilons=epsilons, lam_max=10.0, k_track=1,
             )
+
+
+def test_boundary_diagnostics_rejects_an_eps_off_the_glue_radius():
+    m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
+    res = assemble_spectrum(m_eps, 2, 0, 20.0, mesh=MESH, want_fields=True)
+    fld = next(iter(res.fields.values()))
+    assert boundary_diagnostics(fld, 0.1, 2, 1.0).eps == 0.1
+    with pytest.raises(DomainError, match="glued at eps=0.05"):
+        boundary_diagnostics(fld, 0.05, 2, 1.0)
 
 
 def test_boundary_diagnostics_values(small_sweep):

@@ -169,6 +169,19 @@ def test_cli_error_record(tmp_path, capsys):
     assert record["error"] == "ConfigError"
 
 
+def test_benchmark_tracer_binds_every_traced_name():
+    # perfbench's tracer wraps conesum functions by module and name, and
+    # rewrites module attributes, so it must run in its own interpreter;
+    # -B keeps it from writing bytecode into perfbench/
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
+        "import conesum.cli\nfrom tracer import Tracer\nTracer().install()\n"
+    )
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "conesum.cli", "dodziuk", "--lambda", "3", "--eta", "0"],

@@ -175,6 +175,16 @@ def test_secular_solves_coupled_problems_through_slots():
             transfer_spectrum(find_problem(profile, 2, 1, "q0:k1:plus_half"), 40.0)
 
 
+def test_secular_spectrum_of_a_single_segment_into_a_tip():
+    # the segment's states meet at its absolute end, whichever way it runs
+    cone = geo.cone(1.0)
+    for p, label_part in ((0, "q0:k1:minus"), (1, "q0:kH"), (2, "q0:k2:minus")):
+        expected = transfer_spectrum(find_problem(cone, 2, p, label_part), 100.0).values()
+        got = transfer_spectrum(find_problem(cone.reversed(), 2, p, label_part), 100.0).values()
+        assert len(expected) >= 2
+        assert got == pytest.approx(expected, rel=1e-12)
+
+
 M1, M2 = geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0)
 SUPERSYMMETRY_PROFILES = {
     "spindle": M1,
@@ -358,14 +368,13 @@ def dense(ab):
 PENCILS = {
     "tip_scalar": (geo.spindle(1.0), 0, "q0:k1:minus"),
     "coupled_absolute": (geo.annulus(1.0, 2.0), 1, "q0:k1:plus_half"),
-    # APS rows mix both slots, so the end's null basis is not a coordinate vector
-    "coupled_aps": (geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS), 1, "q0:k1:plus_half"),
 }
 
 # Reduced pencils (T^T K T, T^T M T) of the sparse COO assembly with an
 # explicit constraint map T that the banded assembly replaced, frozen as CSR
 # arrays: the PENCILS cases on FROZEN_MESH and the oracle's k=1 mode
-# (mu^2 = 2) on the spindle, n=2, h=0.1.
+# (mu^2 = 2) on the spindle, n=2, h=0.1.  The file also holds a coupled
+# pencil with an APS end, which is no longer assembled.
 FROZEN = np.load(Path(__file__).with_name("sparse_pencils.npz"))
 FROZEN_MESH = MeshSpec(h=0.1, tip_floor=0.25)
 
@@ -391,6 +400,11 @@ def test_band_assembly_matches_frozen_sparse_assembly(case, monkeypatch):
         K, M = band_pencil(*PENCILS[case], spec=FROZEN_MESH)
     for tag, ab in (("K", K), ("M", M)):
         ref = frozen(case, tag)
+        if case == "coupled_absolute":
+            # T kept each absolute end's alpha dof with weight -1, the dof mask keeps it with +1
+            d = np.ones(len(ref))
+            d[[0, -1]] = -1.0
+            ref = d[:, None] * ref * d
         np.testing.assert_allclose(dense(ab), ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
 
 
@@ -435,6 +449,45 @@ def test_solve_pencil_rejects_k_plus_m_not_positive_definite():
     cap = 0.5 * (eigs[0] + eigs[1]) - eigs[0] - 2.0
     with pytest.raises(ConvergenceError, match="not positive definite"):
         solve_pencil(shifted, M, cap)
+
+
+APS_SPINDLE = geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS)
+
+# (profile, degree, label part, end, dropped slots)
+END_DROPS = [
+    (geo.spindle(1.0), 0, "q0:k1:minus", "start", [True]),
+    (geo.spindle(1.0), 1, "q0:k1:plus_half", "end", [True, True]),
+    (geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), 1, "q1:k1:minus", "end", [True]),
+    (geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), 1, "q0:k1:plus_half", "end", [True, True]),
+    # absolute ends drop the beta slot: alpha slot, beta slot, coupled
+    (geo.annulus(1.0, 2.0), 0, "q0:k1:minus", "start", [False]),
+    (geo.annulus(1.0, 2.0), 2, "q0:k1:minus", "end", [True]),
+    (geo.annulus(1.0, 2.0), 1, "q0:k1:plus_half", "start", [False, True]),
+    # APS ends drop a scalar slot overlapping a negative eigenvector: both
+    # slots of a MINUS_HALF block (gammas k, -k-1, mu > 0 mixes them), and
+    # the exceptional slot of gamma -1 but not the one of gamma +1
+    (APS_SPINDLE, 0, "q0:k1:minus", "start", [True]),
+    (APS_SPINDLE, 2, "q0:k1:minus", "start", [True]),
+    (APS_SPINDLE, 0, "q0:kH", "start", [True]),
+    (APS_SPINDLE, 1, "q0:kH", "start", [False]),
+]
+
+
+def test_endpoint_drops_slots_by_end_condition():
+    for profile, p, label_part, which, expected in END_DROPS:
+        prob = find_problem(profile, 2, p, label_part)
+        data = prob.endpoint(which)
+        assert data.drop.tolist() == expected, (prob.label, which)
+        bc = profile.start_bc if which == "start" else profile.end_bc
+        natural = bc in (BCKind.ABSOLUTE, BCKind.APS)
+        assert (data.k_matrix is not None) == natural, (prob.label, which)
+    # a coupled problem at an APS end has no dof drop: every solver refuses it
+    coupled = find_problem(APS_SPINDLE, 2, 1, "q0:k1:plus_half")
+    assert coupled.endpoint("end").drop.tolist() == [True, True]
+    with pytest.raises(DomainError, match="coupled problem at an APS end"):
+        coupled.endpoint("start")
+    with pytest.raises(DomainError, match="coupled problem at an APS end"):
+        fem_spectrum(coupled, MESH, 20.0)
 
 
 @st.composite
@@ -522,6 +575,24 @@ def test_assembled_spectrum_scales_exactly_on_random_profiles(profile, n, c, dat
     assert len(scaled.entries) == len(base.entries)
     assert scaled.zero_count == base.zero_count
     assert scaled.positive_values() == pytest.approx(base.positive_values() / c**2, rel=1e-9, abs=0)
+
+
+@settings(max_examples=4, deadline=None)
+@given(profile=some_mirrored, data=st.data())
+def test_secular_spectrum_invariant_under_split_segment_on_random_profiles(profile, data):
+    # a smooth breakpoint changes neither the operator nor the secular k-grid,
+    # which depends only on the profile length
+    from conesum.analysis import assemble_spectrum
+
+    p = data.draw(st.integers(0, 3))
+    i = data.draw(st.integers(0, len(profile.segments) - 1))
+    seg = profile.segments[i]
+    refined = split_segment(profile, i, seg.r_lo + data.draw(st.floats(0.1, 0.9)) * seg.length)
+    base = assemble_spectrum(profile, 2, p, 10.0, method="secular")
+    split = assemble_spectrum(refined, 2, p, 10.0, method="secular")
+    assert len(split.entries) == len(base.entries)
+    assert split.zero_count == base.zero_count
+    assert split.positive_values() == pytest.approx(base.positive_values(), rel=1e-10, abs=0)
 
 
 # ---------------------------------------------------------------------------
