@@ -214,8 +214,7 @@ class ApsProjector:
     def split(self, block: ABlock, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Decompose block-coordinate boundary data into (negative, positive) parts."""
         values = np.asarray(values, dtype=float)
-        neg = self.negative_matrix(block) @ values
-        return neg, values - neg
+        return self.negative_matrix(block) @ values, self.positive_matrix(block) @ values
 
 
 def aps_projector(channels: list[GammaChannel]) -> ApsProjector:

@@ -4,7 +4,7 @@ from .fem import FemField, MeshSpec, fem_spectrum, make_mesh, refine_mesh
 from .firstorder import first_order_kernel
 from .problems import ChannelProblem, Eigenvalue, EigList, degree_problems
 from .sturm import sturm_liouville_oracle
-from .transfer import channel_fundamental, secular_value, transfer_spectrum
+from .transfer import secular_value, transfer_spectrum
 
 __all__ = [
     "FemField",
@@ -18,7 +18,6 @@ __all__ = [
     "EigList",
     "degree_problems",
     "sturm_liouville_oracle",
-    "channel_fundamental",
     "secular_value",
     "transfer_spectrum",
 ]

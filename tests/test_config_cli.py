@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conesum.cli import main
@@ -83,6 +84,14 @@ def test_modes_output_contract(tmp_path):
     assert lines[1].startswith("# generated")
     assert lines[2] == "n,q,k,mu_sq,mult,family,gamma,degree"
     assert any(",harmonic," in l for l in lines[3:])
+
+
+def test_modes_fails_on_a_broken_projector(tmp_path, monkeypatch):
+    # the completeness check compares both projected parts with the data
+    from conesum.cone_operator import ApsProjector
+
+    monkeypatch.setattr(ApsProjector, "negative_matrix", lambda self, block: np.zeros((block.size, block.size)))
+    assert main(["modes", "--out", str(tmp_path)]) == 1
 
 
 def test_modes_rerun_byte_identical(tmp_path):
@@ -172,14 +181,24 @@ def test_cli_error_record(tmp_path, capsys):
 def test_benchmark_tracer_binds_every_traced_name():
     # perfbench's tracer wraps conesum functions by module and name, and
     # rewrites module attributes, so it must run in its own interpreter;
-    # -B keeps it from writing bytecode into perfbench/
+    # -B keeps it from writing bytecode into perfbench/.  One secular solve
+    # must then show up in the secular spans and the Bessel counters.
     root = Path(__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
-        "import conesum.cli\nfrom tracer import Tracer\nTracer().install()\n"
+        "import conesum.cli\nfrom tracer import Tracer, layer_metrics\n"
+        "tracer = Tracer(); tracer.install()\n"
+        "from conesum import geometry\nfrom conesum.radial import problems, transfer\n"
+        "probs = problems.degree_problems(geometry.cone(1.0), 2, 0, 40.0)[0]\n"
+        "assert len(transfer.transfer_spectrum(probs[0], 40.0).entries) > 0\n"
+        "m = layer_metrics(tracer.dump(), ['radial.transfer.secular_value'])\n"
+        "print(m['radial.transfer.secular_value.calls'], m['radial.bessel.jy_arrays.calls'],"
+        " m['radial.bessel.jy_arrays.points'])\n"
     )
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    spans, calls, points = map(int, proc.stdout.split())
+    assert spans > 0 and calls > 0 and points > 0
 
 
 def test_console_entry_point():
