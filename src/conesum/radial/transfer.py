@@ -1,5 +1,5 @@
 """Secular-equation eigenvalue solver for scalar channels: analytic bases per
-segment, matched at seams.
+segment, matched at seams, with eigenvalues certified by a Sturm count.
 
 On a segment with local cone radius r the channel equation
 -u'' + gamma(gamma+1) u / r^2 = lam u has the exact solution basis
@@ -7,18 +7,25 @@ sqrt(r) J_nu(k r), sqrt(r) Y_nu(k r) with k = sqrt(lam) > 0 and
 nu = |gamma+1/2|.  The state (u, u') admissible at the left end of the
 profile and the one admissible at the right end are propagated to an
 interior matching breakpoint, applying the derivative jump at each crossed
-seam; eigenvalues are the lam where the two states are parallel, i.e. the
-zeros of their 2x2 determinant.
+seam.  That one walk has two readings: eigenvalues are the lam where the two
+states are parallel, i.e. the zeros of their 2x2 determinant
+(:func:`secular_value`), and the number of eigenvalues below lam is the
+number of zeros of u on the two walks plus one comparison of Pruefer angles
+at the matching breakpoint (:func:`eigen_count`).  The count is exact: every
+slot has c = gamma(gamma+1) >= 0, so by Sturm comparison the zeros of u lie
+at least pi/k apart, and u sampled at a spacing below pi/k changes sign once
+per zero; seams only jump u'.  :func:`transfer_spectrum` isolates each
+eigenvalue by bisection on the count and refines it on the determinant.
 
 Only scalar problems are solved.  A coupled PLUS_HALF problem is handed to
 :func:`transfer_spectrum` as its two single-slot problems
 (``ChannelProblem.slot_problems``), whose merged spectrum is its positive
 spectrum; :func:`secular_value` rejects it.  Every lam of a call is carried
-at once, as an (m, 2) stack of states.  Propagation never steps inside a
-segment: the basis coefficients of the entry states come from one batched
-2x2 solve and are evaluated at the exit, with renormalisation between
-segments so that the dynamic range of Bessel functions across small radii
-cannot overflow.
+at once, as an (m, 2) stack of states.  The basis coefficients of the entry
+states come from one batched 2x2 solve and are evaluated at the exit (and,
+for a count, at the sample points), with renormalisation between segments so
+that the dynamic range of Bessel functions across small radii cannot
+overflow.
 """
 
 from __future__ import annotations
@@ -26,15 +33,15 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
-from ..errors import DomainError
+from ..errors import ConvergenceError, DomainError
 from ..geometry import BCKind
 from .bessel import jy_arrays
+from .firstorder import first_order_kernel
 from .problems import ChannelProblem, Eigenvalue, EigList
 
-OVERSAMPLE = 8  # k-grid points per Weyl spacing pi / L of the profile
-REFINE_XTOL = 1e-13  # brentq's absolute tolerance on k = sqrt(lam)
+REFINE_XTOL = 1e-13  # absolute tolerance of the root refinement on k = sqrt(lam)
+MAX_STEPS = 200  # bisection or refinement steps of one slot before ConvergenceError
 
 
 def _fundamental_matrix(nu: float, k, r) -> np.ndarray:
@@ -63,6 +70,108 @@ def _normalize(states: np.ndarray) -> np.ndarray:
     return states / scale
 
 
+def _sign_changes(samples: list) -> np.ndarray:
+    """Sign changes along each row of the samples joined end to end.
+
+    Zeros are skipped, so an exact zero between opposite signs counts once
+    and a zero at either end of a row counts not at all.
+    """
+    s = np.sign(np.concatenate(samples, axis=1))
+    last = np.maximum.accumulate(np.where(s != 0, np.arange(s.shape[1]), 0), axis=1)
+    s = np.take_along_axis(s, last, axis=1)
+    return np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
+
+
+def _walk(problem: ChannelProblem, lam, count: bool):
+    """Carry the left and right admissible states to the matching breakpoint.
+
+    Returns the secular determinant at each lam, or with ``count`` the number
+    N(lam) of eigenvalues below lam: the zeros of u on the two walks plus
+    [theta_L > theta_R], where theta = atan2(u, u') is the Pruefer angle at
+    the matching breakpoint, the left one taken in (0, pi] and the right one
+    in [0, pi).  An end state sitting at the matching breakpoint keeps its
+    own angle in [0, pi) on the left and (0, pi] on the right.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
+        raise DomainError(f"the secular walk needs lam > 0, got {lam}")
+    k = np.sqrt(lam).reshape(-1, 1)
+    nu = problem.nu
+    profile = problem.profile
+    segs = profile.segments
+    nseg = len(segs)
+    seams = problem.seam_matrices()
+
+    def steps(length):
+        """Sample intervals on a walked length: each below pi / k for a count."""
+        return int(k.max(initial=0.0) * length / math.pi) + 1 if count else 1
+
+    def cross(states, i, forward, samples):
+        """Carry states across segment i, entry to exit if ``forward``;
+        append u at the points past the entry to ``samples``."""
+        seg = segs[i]
+        radii = np.linspace(seg.radius_at_entry(), seg.radius_at_exit(), steps(seg.length) + 1)
+        f = _fundamental_matrix(nu, k, radii if forward else radii[::-1])
+        scale = np.abs(f[:, :1]).max(axis=-2, keepdims=True)
+        scale[scale == 0] = 1.0
+        flip = np.array([1.0, float(seg.orientation)])
+        coeff = np.linalg.solve(f[:, 0] / scale[:, 0], (flip * states)[..., None])
+        walked = (f[:, 1:] / scale) @ coeff[:, None]
+        samples.append(walked[:, :, 0, 0])
+        return _normalize(flip * walked[:, -1, :, 0])
+
+    def jump(states, b, direction):
+        """Apply the seam jump at interior breakpoint b, crossing rightward (+1) or leftward (-1)."""
+        K = seams[b - 1]
+        if K is None:
+            return states
+        return np.column_stack([states[:, 0], states[:, 1] + direction * K[0, 0] * states[:, 0]])
+
+    def end_state(which, tip_seg, radius):
+        """States admissible at an exposed end, or the tip-regular J branch at
+        ``radius`` with u sampled on (0, radius]; also the list of u walked so far."""
+        if (profile.start_bc if which == "start" else profile.end_bc) is BCKind.REGULAR_TIP:
+            f = _fundamental_matrix(nu, k, np.linspace(0.0, radius, steps(radius) + 1)[1:])
+            return np.column_stack([f[:, -1, 0, 0], segs[tip_seg].orientation * f[:, -1, 1, 0]]), [f[:, :, 0, 0]]
+        data = problem.endpoint(which)
+        end = [0.0, 1.0] if data.drop[0] else [1.0, (1 if which == "start" else -1) * float(data.k_matrix[0, 0])]
+        state = np.tile(end, (len(k), 1))
+        return state, [state[:, :1]]
+
+    # matching breakpoint: interior breakpoint of largest radius, else the
+    # single segment's non-tip end, where a tip's regular state is evaluated
+    if nseg > 1:
+        match = 1 + int(np.argmax([s.radius_at_exit() for s in segs[:-1]]))
+    else:
+        match = 0 if profile.end_bc is BCKind.REGULAR_TIP else 1
+
+    # left states walk rightward from their end to breakpoint `match`,
+    # jumping at every interior breakpoint on the way, `match` included
+    left, left_u = end_state("start", 0, segs[0].radius_at_exit())
+    for b in range(1 if profile.start_bc is BCKind.REGULAR_TIP else 0, match + 1):
+        if 1 <= b <= nseg - 1:
+            left = jump(left, b, +1)
+        if b < match:
+            left = cross(left, b, True, left_u)
+
+    # right states walk leftward to `match`, jumping at the breakpoints past it
+    right, right_u = end_state("end", nseg - 1, segs[-1].radius_at_entry())
+    for b in range(nseg - 1 if profile.end_bc is BCKind.REGULAR_TIP else nseg, match, -1):
+        if b <= nseg - 1:
+            right = jump(right, b, -1)
+        right = cross(right, b - 1, False, right_u)
+
+    if count:
+        theta_l, theta_r = (np.arctan2(s[:, 0], s[:, 1]) % math.pi for s in (left, right))
+        theta_l[(theta_l == 0) & (match > 0)] = math.pi
+        theta_r[(theta_r == 0) & (match == nseg)] = math.pi
+        out = _sign_changes(left_u) + _sign_changes(right_u) + (theta_l > theta_r)
+    else:
+        left, right = _normalize(left), _normalize(right)
+        out = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+    return out[0].item() if lam.ndim == 0 else out.reshape(lam.shape)
+
+
 def secular_value(problem: ChannelProblem, lam):
     """Secular determinant of a scalar problem at each lam > 0; zero exactly at eigenvalues.
 
@@ -77,143 +186,82 @@ def secular_value(problem: ChannelProblem, lam):
     problem raise DomainError: solve a coupled problem's
     ``slot_problems()`` instead.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0):
-        raise DomainError(f"secular_value needs lam > 0, got {lam}")
-    k = np.sqrt(lam).reshape(-1, 1)
-    nu = problem.nu
-    profile = problem.profile
-    segs = profile.segments
-    nseg = len(segs)
-    seams = problem.seam_matrices()
-
-    def cross(states, i, forward):
-        """Carry states across segment i, entry to exit if ``forward``."""
-        seg = segs[i]
-        radii = [seg.radius_at_entry(), seg.radius_at_exit()]
-        m_from, m_to = np.moveaxis(_fundamental_matrix(nu, k, radii if forward else radii[::-1]), 1, 0)
-        scale = np.abs(m_from).max(axis=-2, keepdims=True)
-        scale[scale == 0] = 1.0
-        flip = np.array([1.0, float(seg.orientation)])
-        coeff = np.linalg.solve(m_from / scale, (flip * states)[..., None])
-        return _normalize(flip * ((m_to / scale) @ coeff)[..., 0])
-
-    def jump(states, b, direction):
-        """Apply the seam jump at interior breakpoint b, crossing rightward (+1) or leftward (-1)."""
-        K = seams[b - 1]
-        if K is None:
-            return states
-        return np.column_stack([states[:, 0], states[:, 1] + direction * K[0, 0] * states[:, 0]])
-
-    def end_state(which, tip_seg, radius):
-        """States admissible at an exposed end, or the tip-regular J branch at ``radius``."""
-        if (profile.start_bc if which == "start" else profile.end_bc) is BCKind.REGULAR_TIP:
-            f = _fundamental_matrix(nu, k[:, 0], radius)
-            return np.column_stack([f[:, 0, 0], segs[tip_seg].orientation * f[:, 1, 0]])
-        data = problem.endpoint(which)
-        if data.drop[0]:
-            return np.tile([0.0, 1.0], (len(k), 1))
-        return np.tile([1.0, (1 if which == "start" else -1) * float(data.k_matrix[0, 0])], (len(k), 1))
-
-    # matching breakpoint: interior breakpoint of largest radius, else the
-    # single segment's non-tip end, where a tip's regular state is evaluated
-    if nseg > 1:
-        match = 1 + int(np.argmax([s.radius_at_exit() for s in segs[:-1]]))
-    else:
-        match = 0 if profile.end_bc is BCKind.REGULAR_TIP else 1
-
-    # left states walk rightward from their end to breakpoint `match`,
-    # jumping at every interior breakpoint on the way, `match` included
-    left = end_state("start", 0, segs[0].radius_at_exit())
-    for b in range(1 if profile.start_bc is BCKind.REGULAR_TIP else 0, match + 1):
-        if 1 <= b <= nseg - 1:
-            left = jump(left, b, +1)
-        if b < match:
-            left = cross(left, b, True)
-
-    # right states walk leftward to `match`, jumping at the breakpoints past it
-    right = end_state("end", nseg - 1, segs[-1].radius_at_entry())
-    for b in range(nseg - 1 if profile.end_bc is BCKind.REGULAR_TIP else nseg, match, -1):
-        if b <= nseg - 1:
-            right = jump(right, b, -1)
-        right = cross(right, b - 1, False)
-
-    left, right = _normalize(left), _normalize(right)
-    det = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
-    return float(det[0]) if lam.ndim == 0 else det.reshape(lam.shape)
+    return _walk(problem, lam, count=False)
 
 
-# Neither root finder below is called by the solver; both stay
-# defined because perfbench/tracer.py wraps them by name.
+def eigen_count(problem: ChannelProblem, lam):
+    """Number of eigenvalues below each lam > 0 of a scalar problem, zero modes included.
 
-
-def locate_roots_in_window(
-    problem: ChannelProblem, lo: float, hi: float, expect: int
-) -> list[float]:
-    """Dense scan for secular roots inside a window, refining until either
-    sign changes account for the expected count or the grid is exhausted."""
-    for n in (64, 512, 4096):
-        found = _sign_change_roots(lambda lam: secular_value(problem, lam), np.linspace(lo, hi, n))
-        if len(found) >= expect:
-            break
-    return found
-
-
-def confirm_even_root(
-    problem: ChannelProblem, lo: float, hi: float, depth_tol: float = 1e-8
-) -> float | None:
-    """Locate an even-order secular root inside (lo, hi), or None.
-
-    Minimizes the determinant magnitude; the minimum must undercut the
-    parabolic scale set by the window edges by ``depth_tol`` to count as a
-    root rather than a benign near-miss.
+    ``lam`` is a float or an array; the result has its shape.  The count is
+    read off the same walk as :func:`secular_value` and raises as it does.
     """
-    from scipy.optimize import minimize_scalar
-
-    g = lambda lam: abs(secular_value(problem, lam))
-    res = minimize_scalar(g, bounds=(lo, hi), method="bounded", options={"xatol": 1e-13 * hi})
-    edge = min(g(lo), g(hi))
-    if edge <= 0:
-        return float(res.x)
-    return float(res.x) if res.fun <= depth_tol * edge else None
+    return _walk(problem, lam, count=True)
 
 
-def _sign_change_roots(f, grid: np.ndarray, xtol: float = 2e-12) -> list[float]:
-    """Roots of f by brentq in each sign change of f over ``grid``, in one call
-    of f on the whole grid; a grid point where f vanishes is a root itself."""
-    vals = f(grid)
-    return [
-        float(grid[i]) if vals[i] == 0.0 else brentq(f, grid[i], grid[i + 1], xtol=xtol, rtol=1e-15)
-        for i in np.flatnonzero((vals[:-1] == 0.0) | (vals[:-1] * vals[1:] < 0))
-    ]
+def _slot_roots(slot: ChannelProblem, kmax: float) -> np.ndarray:
+    """Positive eigenvalues below kmax^2 of a scalar slot, in increasing order.
 
+    Eigenvalue j (the zero modes are 0 .. kernel dim - 1) is bracketed in k by
+    bisection on the count until a bracket (lo, hi] with lo > 0 holds it
+    alone, every bracket of the slot in one count per step.  Each is then
+    refined on the secular determinant by regula falsi with the Illinois
+    step, again all in one call per step, to REFINE_XTOL in k.
+    """
+    ks, ns = np.array([0.0, kmax]), np.array([first_order_kernel(slot).dim, eigen_count(slot, kmax * kmax)])
+    j = np.arange(ns[0], ns[1])
+    for _ in range(MAX_STEPS):
+        lo = np.searchsorted(ns, j, side="right") - 1
+        open_ = (ns[lo] < j) | (ns[lo + 1] > j + 1) | (ks[lo] == 0)
+        if not open_.any():
+            break
+        mid = np.unique(0.5 * (ks[lo] + ks[lo + 1])[open_])
+        ks, ns = np.concatenate([ks, mid]), np.concatenate([ns, eigen_count(slot, mid * mid)])
+        order = np.argsort(ks)
+        ks, ns = ks[order], ns[order]
+    else:
+        raise ConvergenceError(f"{slot.label}: bisection did not isolate the eigenvalues below {kmax**2}")
 
-def _scalar_roots(problem: ChannelProblem, grid: np.ndarray, lam_max: float) -> list[float]:
-    """lam of each sign change of the secular scan over the k = sqrt(lam) ``grid``."""
-    roots = _sign_change_roots(lambda k: secular_value(problem, k * k), grid, REFINE_XTOL)
-    return [k * k for k in roots if k * k <= lam_max]
+    a, b = ks[lo], ks[lo + 1]
+    fa, fb = np.split(secular_value(slot, np.concatenate([a, b]) ** 2), 2)
+    if np.any(fa * fb > 0):
+        raise ConvergenceError(f"{slot.label}: no sign change of the determinant across a counted eigenvalue")
+    for _ in range(MAX_STEPS):
+        t = np.flatnonzero((np.abs(b - a) > REFINE_XTOL) & (fb != 0))
+        if t.size == 0:
+            return b * b
+        c = b[t] - fb[t] * (b[t] - a[t]) / (fb[t] - fa[t])
+        fc = secular_value(slot, c * c)
+        same = fc * fb[t] > 0  # c replaces b on its side: halve the value kept at a
+        a[t], fa[t] = np.where(same, a[t], b[t]), np.where(same, 0.5 * fa[t], fb[t])
+        b[t], fb[t] = c, fc
+    raise ConvergenceError(f"{slot.label}: root refinement did not reach {REFINE_XTOL} in k")
 
 
 def transfer_spectrum(problem: ChannelProblem, lam_max: float) -> EigList:
-    """Positive eigenvalues in (0, lam_max] of one channel problem by secular root search.
+    """Positive eigenvalues below lam_max of one channel problem, each certified by the count.
 
     A coupled problem is solved as its two scalar slot problems and the
-    merged entries keep ``problem`` as their provenance.  The k = sqrt(lam)
-    grid step is calibrated to the Weyl spacing pi/L of the profile and sign
-    changes are bisected with brentq.  Zero modes are counted analytically
-    elsewhere and not reported here.
+    merged entries keep ``problem`` as their provenance.  Zero modes are
+    counted analytically elsewhere and not reported here.
     """
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    dk = math.pi / (problem.profile.length * OVERSAMPLE)
     kmax = math.sqrt(lam_max)
-    grid = np.arange(dk, kmax + dk, dk)
-    if len(grid) < 2:
-        grid = np.linspace(dk / 4, kmax, 8)
-    roots = sorted(
-        root for slot in problem.slot_problems() for root in _scalar_roots(slot, grid, lam_max)
-    )
+    roots = np.sort(np.concatenate([_slot_roots(slot, kmax) for slot in problem.slot_problems()]))
     entries = [
-        Eigenvalue(value=lam, problem=problem, index=i, method="secular") for i, lam in enumerate(roots)
+        Eigenvalue(value=float(lam), problem=problem, index=i, method="secular") for i, lam in enumerate(roots)
     ]
     return EigList(entries=entries)
+
+
+# perfbench/tracer.py wraps the two names below; the solver calls neither.
+
+
+def locate_roots_in_window(problem: ChannelProblem, lo: float, hi: float) -> list[float]:
+    """Secular roots in (lo, hi]: the :func:`transfer_spectrum` eigenvalues of the window."""
+    return [float(v) for v in transfer_spectrum(problem, hi).values() if v > lo]
+
+
+def confirm_even_root(problem: ChannelProblem, lo: float, hi: float) -> None:
+    """Always None: every root of a scalar problem is simple, so none has even order."""
+    return None

@@ -201,6 +201,17 @@ def test_benchmark_tracer_binds_every_traced_name():
     assert spans > 0 and calls > 0 and points > 0
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded():
+    # no command needs scipy.optimize, and importing it would cost every
+    # command about 0.09 s of start-up; run in a fresh interpreter, since
+    # other tests may have imported it into this one
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import sys; sys.path.insert(0, {str(src)!r})\nimport conesum.cli\nprint('scipy.optimize' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "conesum.cli", "dodziuk", "--lambda", "3", "--eta", "0"],

@@ -25,7 +25,7 @@ from conesum.radial.fem import (
 from conesum.radial.firstorder import first_order_kernel
 from conesum.radial.problems import ChannelProblem, degree_problems
 from conesum.radial.sturm import sturm_liouville_oracle
-from conesum.radial.transfer import _fundamental_matrix, secular_value, transfer_spectrum
+from conesum.radial.transfer import _fundamental_matrix, eigen_count, secular_value, transfer_spectrum
 
 # frozen oracle values (bisection on tan x = x and on the spherical Bessel
 # derivative (x^2 - 2) sin x + 2 x cos x = 0, then squared)
@@ -71,11 +71,13 @@ def test_fundamental_rejects_negative_lambda():
 
 
 def test_secular_value_rejects_nonpositive_lambda():
-    # lam <= 0 once fell silently back to the lam = 0 value
+    # lam <= 0 once fell silently back to the lam = 0 value; the count reads
+    # the same walk
     prob = find_problem(geo.cone(1.0), 2, 0, "q0:k1:minus")
-    for lam in (-5.0, 0.0, np.array([1.0, -1.0])):
-        with pytest.raises(DomainError):
-            secular_value(prob, lam)
+    for reading in (secular_value, eigen_count):
+        for lam in (-5.0, 0.0, np.array([1.0, -1.0])):
+            with pytest.raises(DomainError):
+                reading(prob, lam)
 
 
 def test_secular_value_on_an_array_matches_scalar_calls():
@@ -186,6 +188,48 @@ def test_secular_spectrum_of_a_single_segment_into_a_tip():
         assert got == pytest.approx(expected, rel=1e-12)
 
 
+def fem_gap_caps(slot, lam_hi, spots=(0.5,)):
+    """Caps at the fractions ``spots`` of each gap of a slot's FEM spectrum
+    below lam_hi, and the FEM count below each cap.  A gap is used where it
+    is wider than 1e-3 relative and than ten times the change of its ends
+    under one mesh refinement (the fine values are off by about 1/15 of it)."""
+    nodes = make_mesh(slot.profile, MESH)
+    coarse = single_mesh_eigenvalues(slot, nodes, lam_hi)
+    vals = single_mesh_eigenvalues(slot, refine_mesh(nodes), lam_hi)[: len(coarse)]
+    change = np.abs(coarse - vals)
+    gaps = np.flatnonzero(np.diff(vals) > np.maximum(1e-3 * vals[1:], 10 * (change[1:] + change[:-1])))
+    spots = np.asarray(spots)[:, None]
+    return ((1 - spots) * vals[gaps] + spots * vals[gaps + 1]).ravel(), np.tile(gaps + 1, len(spots))
+
+
+def test_eigen_count_with_an_end_state_at_the_matching_point():
+    # one segment: the states meet at its absolute end, where a beta slot's
+    # dropped end state (u = 0) keeps its own angle, on either side
+    cone = geo.cone(1.0)
+    for profile in (cone, cone.reversed()):
+        for p, label_part in ((0, "q0:k1:minus"), (1, "q0:kH"), (2, "q0:k2:minus")):
+            slot = find_problem(profile, 2, p, label_part)
+            caps, expected = fem_gap_caps(slot, 200.0)
+            assert len(caps) >= 2
+            assert eigen_count(slot, caps).tolist() == expected.tolist(), (slot.label, profile.start_bc)
+
+
+def test_eigen_count_from_a_dirichlet_start():
+    # the beta slot starts at u = 0; a u recomputed from the Bessel basis
+    # there is round-off of either sign and could count a spurious zero
+    waist = geo.Profile(
+        segments=(geo.Segment(0.21875, 1.0, -1), geo.Segment(0.21875, 1.0, +1)),
+        start_bc=BCKind.ABSOLUTE,
+        end_bc=BCKind.ABSOLUTE,
+    )
+    slot = find_problem(waist, 2, 1, "q0:kH")
+    assert slot.label == "p1:n2:q0:kH:exceptional" and slot.endpoint("start").drop[0]
+    caps, expected = fem_gap_caps(slot, 40.0, spots=np.linspace(0.1, 0.9, 17))
+    assert len(caps) >= 34
+    assert eigen_count(slot, caps).tolist() == expected.tolist()
+    assert eigen_count(slot, float(caps[0])) == 1
+
+
 M1, M2 = geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0)
 SUPERSYMMETRY_PROFILES = {
     "spindle": M1,
@@ -282,11 +326,10 @@ def test_channel_bound_holds_on_a_necked_profile():
     assert vals[1] >= prob.min_potential() / necked.r_max**2
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="the k-grid cannot split roots closer than dk")
 def test_secular_method_keeps_close_pairs():
     # the k = 1 channel has two roots 0.099 apart in k (lam 4.1997, 4.6141,
-    # each of multiplicity 3), inside one step dk = 0.251 of the secular
-    # k-grid, so no sign change shows: secular keeps 1 of FEM's 7 values
+    # each of multiplicity 3), closer than a k-grid of 8 points per pi/L
+    # resolves: only a count keeps all 7 of FEM's values
     from conesum.analysis import assemble_spectrum
 
     waist = geo.Profile(
@@ -612,6 +655,18 @@ def test_secular_spectrum_invariant_under_split_segment_on_random_profiles(profi
     assert len(split.entries) == len(base.entries)
     assert split.zero_count == base.zero_count
     assert split.positive_values() == pytest.approx(base.positive_values(), rel=1e-10, abs=0)
+
+
+@settings(max_examples=6, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]), data=st.data())
+def test_eigen_count_matches_fem_on_random_profiles(profile, n, data):
+    # the count is exact at a cap in any spectral gap, on every slot of the
+    # degree; mirrored profiles put close pairs into a slot's spectrum
+    p = data.draw(st.integers(0, n + 1))
+    for prob in problems_for(profile, n, p, 15.0):
+        for slot in prob.slot_problems():
+            caps, expected = fem_gap_caps(slot, 15.0)
+            assert eigen_count(slot, caps).tolist() == expected.tolist(), slot.label
 
 
 # ---------------------------------------------------------------------------
