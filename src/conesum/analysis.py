@@ -31,7 +31,7 @@ from .radial.firstorder import first_order_kernel
 from .radial.problems import ChannelProblem, Eigenvalue, EigList, degree_problems, sort_eigenvalues
 from .radial.transfer import transfer_spectrum
 
-ZERO_THRESHOLD_REL = 1e-8
+ZERO_GAP = 1e-5  # FEM's gap between zero modes and the first positive, and to the next
 CROSS_RTOL = 1e-6
 FIRST_EXACT_BOUND = 25.0  # first_positive_exact's initial enumeration bound at unit radius
 
@@ -79,7 +79,6 @@ def assemble_spectrum(
     method: str = "fem",
     mesh: MeshSpec | None = None,
     cross_rtol: float = CROSS_RTOL,
-    zero_threshold_rel: float = ZERO_THRESHOLD_REL,
     want_fields: bool = False,
     cap_factor: float = 1.0,
     _slot_cache: dict | None = None,
@@ -94,8 +93,9 @@ def assemble_spectrum(
     with method="both" each slot's FEM eigenvalues are checked once against
     the secular solver (equal counts, agreement to ``cross_rtol``, else
     SolverDisagreementError).  Zero modes are counted analytically from the
-    harmonic matching systems; FEM must find exactly that many numerically
-    tiny eigenvalues per slot.  Reported eigenvalues come from FEM unless
+    harmonic matching systems; FEM's first that many eigenvalues per slot
+    are its zero modes, once its spectrum shows a gap there
+    (``_positive_entries``).  Reported eigenvalues come from FEM unless
     method="secular".
 
     ``want_fields`` (with FEM) solves every channel as such, coupled ones
@@ -108,7 +108,6 @@ def assemble_spectrum(
         raise DomainError(f"unknown method {method!r}")
     mesh = mesh or MeshSpec()
     problems, certificate = degree_problems(profile, n, p, lam_max, cap_factor)
-    zero_floor = zero_threshold_rel * lam_max
     cache = _slot_cache if _slot_cache is not None else {}
 
     entries: list[Eigenvalue] = []
@@ -119,7 +118,7 @@ def assemble_spectrum(
         zero_count += kernel_dim * prob.multiplicity
         if want_fields and method != "secular":
             fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=True)
-            pos_entries = _positive_entries(prob, fem_list, kernel_dim, zero_floor)
+            pos_entries = _positive_entries(prob, fem_list, kernel_dim, lam_max)
             if method == "both":
                 fem_vals = [e.value for e in pos_entries]
                 _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values(), cross_rtol)
@@ -130,7 +129,7 @@ def assemble_spectrum(
                 [
                     e
                     for slot in prob.slot_problems()
-                    for e in _slot_spectrum(slot, lam_max, method, mesh, cross_rtol, zero_floor, cache)
+                    for e in _slot_spectrum(slot, lam_max, method, mesh, cross_rtol, cache)
                 ]
             )
             # ranks after the kernel, as FEM indexes the channel's own spectrum
@@ -161,7 +160,6 @@ def _slot_spectrum(
     method: str,
     mesh: MeshSpec,
     cross_rtol: float,
-    zero_floor: float,
     cache: dict,
 ) -> list[Eigenvalue]:
     """Positive eigenvalues of one scalar slot problem, solved once per cache.
@@ -170,27 +168,36 @@ def _slot_spectrum(
     label: that fixes the slot of a MINUS_HALF block and tells apart the two
     exceptional blocks of a harmonic sphere mode, which share a block label.
     """
-    key = (slot.profile, slot.label, lam_max, method, mesh, zero_floor)
+    key = (slot.profile, slot.label, lam_max, method, mesh)
     if key not in cache:
         if method == "secular":
             cache[key] = transfer_spectrum(slot, lam_max).entries
         else:
             fem_list = fem_spectrum(slot, mesh, lam_max)
-            pos = _positive_entries(slot, fem_list, first_order_kernel(slot).dim, zero_floor)
+            pos = _positive_entries(slot, fem_list, first_order_kernel(slot).dim, lam_max)
             if method == "both":
                 _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values(), cross_rtol)
             cache[key] = pos
     return cache[key]
 
 
-def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, zero_floor: float) -> list:
-    """FEM entries above zero_floor, once the tiny ones match the analytic kernel."""
-    tiny = sum(e.value <= zero_floor for e in fem_list.entries)
-    if tiny != kernel_dim:
-        raise ZeroModeMismatchError(
-            f"{prob.label}: {tiny} numerically tiny eigenvalues vs analytic kernel dimension {kernel_dim}"
-        )
-    return [e for e in fem_list.entries if e.value > zero_floor]
+def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, lam_max: float) -> list:
+    """FEM entries after the first d = kernel_dim: conforming FEM values are
+    ordered upper bounds, so entries 0..d-1 are the zero modes, as in the
+    secular solver.  FEM must show the gap: with w its values then lam_max,
+    and s = |w| less each value's change under one mesh refinement (15 times
+    its Richardson estimate; near a thin neck it does not shrink with h),
+    s[:d] <= ZERO_GAP w[d] and s[d] > ZERO_GAP w[d+1], else
+    ZeroModeMismatchError."""
+    w, d = np.append(fem_list.values(), lam_max), kernel_dim
+    s = np.abs(w) - 15.0 * np.append([e.error for e in fem_list.entries], 0.0)
+    if (
+        len(w) <= d
+        or s[:d].max(initial=0.0) > ZERO_GAP * w[d]
+        or (d + 1 < len(w) and s[d] <= ZERO_GAP * w[d + 1])
+    ):
+        raise ZeroModeMismatchError(f"{prob.label}: FEM values {w[: d + 2]} have no gap after kernel dimension {d}")
+    return fem_list.entries[d:]
 
 
 def _cross_validate(prob, fem_vals, sec_vals, rtol):
@@ -239,10 +246,9 @@ def exact_form_spectrum(
     if p < 1:
         raise DomainError("exact forms need p >= 1")
     mesh = mesh or MeshSpec()
-    zero_floor = ZERO_THRESHOLD_REL * lam_max
     out: list[float] = []
     for prob in _exact_slots(profile, n, p, lam_max):
-        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, zero_floor, {}):
+        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, {}):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
@@ -282,8 +288,7 @@ def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
                 break
             if best < math.inf and coarse_count(slot, mesh, best) == first_order_kernel(slot).dim:
                 continue
-            lam = min(best, bound)
-            pos = _slot_spectrum(slot, lam, "fem", mesh, CROSS_RTOL, ZERO_THRESHOLD_REL * lam, cache)
+            pos = _slot_spectrum(slot, min(best, bound), "fem", mesh, CROSS_RTOL, cache)
             best = pos[0].value if pos else best
         if best < math.inf:
             return best
@@ -525,15 +530,13 @@ def sweep_epsilon(
     final_rel_tol: float = 0.02,
     jobs: int = 1,
     cross_rtol: float = CROSS_RTOL,
-    zero_threshold_rel: float = ZERO_THRESHOLD_REL,
     cap_factor: float = 1.0,
 ) -> SweepReport:
     """Collapse experiment: spectra of M_eps against M1 over a decreasing eps list.
 
-    ``cross_rtol``, ``zero_threshold_rel`` and ``cap_factor`` go to both
-    assemble_spectrum calls, the M1 reference and each M_eps.  The McGowan
-    bounds, for p = 1..n, come from first_positive_exact, which keeps
-    ZERO_THRESHOLD_REL and cap_factor 1.
+    ``cross_rtol`` and ``cap_factor`` go to both assemble_spectrum calls,
+    the M1 reference and each M_eps.  The McGowan bounds, for p = 1..n, come
+    from first_positive_exact, which keeps cap_factor 1.
 
     With jobs > 1 the per-epsilon work runs in a process pool; every task is a
     pure function, so the aggregated report is identical for any job count.
@@ -546,7 +549,7 @@ def sweep_epsilon(
     mcg: dict = {}
     zero_counts: dict = {}
 
-    solver = {"cross_rtol": cross_rtol, "zero_threshold_rel": zero_threshold_rel, "cap_factor": cap_factor}
+    solver = {"cross_rtol": cross_rtol, "cap_factor": cap_factor}
     slot_cache: dict = {}
     ref = {
         p: assemble_spectrum(m1, n, p, lam_max, method, mesh, **solver, _slot_cache=slot_cache)

@@ -168,7 +168,6 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
             cfg.method,
             cfg.mesh(),
             cross_rtol=cfg.solver["cross_rtol"],
-            zero_threshold_rel=cfg.solver["zero_threshold_rel"],
             cap_factor=cfg.solver["cap_factor"],
             _slot_cache=slot_cache,
         )
@@ -215,7 +214,6 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = F
         final_rel_tol=cfg.checks["final_rel_tol"],
         jobs=jobs,
         cross_rtol=cfg.solver["cross_rtol"],
-        zero_threshold_rel=cfg.solver["zero_threshold_rel"],
         cap_factor=cfg.solver["cap_factor"],
     )
     rows = [

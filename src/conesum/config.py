@@ -47,9 +47,7 @@ SCHEMA = {
             "properties": {
                 "method": {"enum": ["fem", "secular", "both"]},
                 "mesh_h": {"type": "number", "exclusiveMinimum": 0},
-                "grading": {"type": "boolean"},
                 "cross_rtol": {"type": "number", "exclusiveMinimum": 0},
-                "zero_threshold_rel": {"type": "number", "exclusiveMinimum": 0},
                 "cap_factor": {"type": "number", "minimum": 1},
             },
             "additionalProperties": False,
@@ -96,9 +94,7 @@ DEFAULTS = {
     "solver": {
         "method": "fem",
         "mesh_h": 0.02,
-        "grading": True,
         "cross_rtol": 1e-6,
-        "zero_threshold_rel": 1e-8,
         "cap_factor": 1.0,
     },
     "mcgowan": {"omega": 1.0, "c_rho": None},
@@ -150,9 +146,7 @@ class RunConfig:
         return prof
 
     def mesh(self) -> MeshSpec:
-        s = self.raw["solver"]
-        fraction = 0.1 if s["grading"] else 1.0e9
-        return MeshSpec(h=float(s["mesh_h"]), radial_fraction=fraction)
+        return MeshSpec(h=float(self.raw["solver"]["mesh_h"]))
 
     @property
     def solver(self) -> dict:

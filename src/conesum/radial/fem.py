@@ -292,7 +292,7 @@ def _check_resolution(profile: Profile, nodes: np.ndarray):
         if adjacent and max(adjacent) > 0.5 * r_b + 1e-15:
             raise ConvergenceError(
                 f"mesh does not resolve the seam at radius {r_b:.4g}: "
-                f"adjacent element {max(adjacent):.4g} exceeds r/2 (enable grading or lower h)"
+                f"adjacent element {max(adjacent):.4g} exceeds r/2 (lower h)"
             )
 
 
@@ -338,6 +338,8 @@ def fem_spectrum(
     vals2, vecs2 = solve_pencil(K2, M2, lam_cap, want_vectors)
 
     npair = min(len(vals1), len(vals2))
+    if npair < len(vals2) and vals2[npair] <= lam_max:
+        raise ConvergenceError(f"{problem.label}: refined mesh adds {vals2[npair]}, coarse one exceeds {lam_cap}")
     entries = []
     fields = []
     zero_floor = 1e-9 * max(lam_max, 1.0)

@@ -36,7 +36,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ..cone_operator import ALPHA, BETA, ABlock, build_blocks, enumerate_blocks
+from ..cone_operator import ALPHA, BETA, ABlock, Family, build_blocks, enumerate_blocks
 from ..errors import DomainError, EnumerationError
 from ..geometry import BCKind, Profile
 
@@ -227,7 +227,9 @@ def degree_problems(
 
     A block is excludable when every eigenvalue of its potential matrix
     exceeds cap = lam_max * R_max^2 * cap_factor, because eigenvalues of a
-    channel obey lam >= min gamma(gamma+1) / R_max^2.  The returned
+    channel obey lam >= min gamma(gamma+1) / R_max^2.  Exceptional blocks
+    (mu^2 = 0) are never excluded: the degree-n one carries the zero mode
+    of [a, b] x S^n with absolute ends at any R_max.  The returned
     certificate records the cutoff; modes are enumerated up to
 
         mu_sq_cut = (1 + sqrt(cap + 1/4))^2
@@ -258,7 +260,7 @@ def degree_problems(
             slot_indices=slots,
             multiplicity=block.mode.multiplicity,
         )
-        if prob.min_potential() <= cap:
+        if prob.min_potential() <= cap or block.family is Family.EXCEPTIONAL:
             problems.append(prob)
         else:
             excluded.append((prob.label, prob.min_potential() / (r_max * r_max)))

@@ -86,20 +86,21 @@ def test_assemble_rejects_unknown_method():
         assemble_spectrum(spindle(1.0), 2, 0, 10.0, method="magic")
 
 
-def test_assemble_rejects_zero_mode_mismatch(monkeypatch):
-    # FEM must find exactly as many tiny eigenvalues per channel as the
-    # analytic kernel has; an analytic count one too high must be caught
+@pytest.mark.parametrize("shift", [1, -1], ids=["one_too_many", "one_too_few"])
+def test_assemble_rejects_zero_mode_mismatch(monkeypatch, shift):
+    # FEM's spectrum must show a gap right after the analytic kernel
+    # dimension; an analytic count one too high or one too low must be caught
     import dataclasses
 
     import conesum.analysis as analysis
 
     real = analysis.first_order_kernel
 
-    def one_too_many(prob):
+    def off_by_one(prob):
         kernel = real(prob)
-        return dataclasses.replace(kernel, dim=kernel.dim + 1)
+        return dataclasses.replace(kernel, dim=max(kernel.dim + shift, 0))
 
-    monkeypatch.setattr(analysis, "first_order_kernel", one_too_many)
+    monkeypatch.setattr(analysis, "first_order_kernel", off_by_one)
     with pytest.raises(ZeroModeMismatchError):
         assemble_spectrum(spindle(1.0), 2, 0, 10.0, method="fem", mesh=MESH)
 

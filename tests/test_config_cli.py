@@ -49,9 +49,10 @@ def test_schema_rejections(tmp_path):
     bad.write_text(json.dumps({"epsilons": [0.1, 0.1]}))
     with pytest.raises(ConfigError):
         load_config(bad)
-    bad.write_text(json.dumps({"solver": {"fem_order": 3}}))
-    with pytest.raises(ConfigError):
-        load_config(bad)
+    for solver in ({"fem_order": 3}, {"grading": False}, {"zero_threshold_rel": 1e-8}):
+        bad.write_text(json.dumps({"solver": solver}))
+        with pytest.raises(ConfigError):
+            load_config(bad)
 
 
 def test_hash_stable_under_key_order(tmp_path):
@@ -146,12 +147,12 @@ def test_sweep_command_small(tmp_path):
 
 
 def test_sweep_honours_solver_fields(tmp_path, capsys):
-    # a zero floor above the first positive eigenvalue must fail the sweep
-    # as it fails `spectrum`, not be dropped
-    solver = {**DEFAULTS["solver"], "zero_threshold_rel": 0.5}
+    # a cross-solver tolerance below FEM's accuracy must fail the sweep as
+    # it fails `spectrum`, not be dropped
+    solver = {**DEFAULTS["solver"], "method": "both", "cross_rtol": 1e-14}
     cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0, solver=solver)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ZeroModeMismatchError"
+    assert json.loads(capsys.readouterr().err)["error"] == "SolverDisagreementError"
 
 
 def test_spectrum_connected_sum_flag(tmp_path):

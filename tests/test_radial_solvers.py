@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 
 from conesum import geometry as geo
 from conesum.cone_operator import Family
-from conesum.errors import ConvergenceError, DomainError, ZeroModeMismatchError
+from conesum.errors import ConvergenceError, DomainError
 from conesum.geometry import BCKind, split_segment
 from conesum.radial import sturm
 from conesum.radial.fem import (
@@ -245,21 +245,23 @@ SUPERSYMMETRY_PROFILES = {
 @pytest.mark.parametrize("name", sorted(SUPERSYMMETRY_PROFILES))
 def test_coupled_fem_spectrum_is_the_union_of_its_slots(name, n):
     # assemble_spectrum reads PLUS_HALF eigenvalues off the slot problems;
-    # this pins that identity against the coupled FEM assembly
+    # this pins that identity against the coupled FEM assembly, each
+    # spectrum with its zero modes dropped by its own kernel dimension
+    from conesum.analysis import _positive_entries
+
+    def positive(prob):
+        fem = fem_spectrum(prob, MESH, lam_max)
+        return [e.value for e in _positive_entries(prob, fem, first_order_kernel(prob).dim, lam_max)]
+
     profile, lam_max = SUPERSYMMETRY_PROFILES[name], 40.0
-    zero_floor = 1e-8 * lam_max
     for p in range(1, n + 1):
         for prob in problems_for(profile, n, p, lam_max):
             if prob.block.family is not Family.PLUS_HALF:
                 continue
-            coupled = fem_spectrum(prob, MESH, lam_max).values()
-            slots = np.sort(
-                np.concatenate([fem_spectrum(s, MESH, lam_max).values() for s in prob.slot_problems()])
-            )
-            assert np.count_nonzero(coupled <= zero_floor) == first_order_kernel(prob).dim, prob.label
-            positive, union = coupled[coupled > zero_floor], slots[slots > zero_floor]
-            assert len(positive) == len(union), prob.label
-            assert positive == pytest.approx(union, rel=1e-8), prob.label
+            coupled = positive(prob)
+            union = sorted(v for s in prob.slot_problems() for v in positive(s))
+            assert len(coupled) == len(union), prob.label
+            assert coupled == pytest.approx(union, rel=1e-8), prob.label
 
 
 def test_spindle_first_positive_golden():
@@ -343,17 +345,39 @@ def test_secular_method_keeps_close_pairs():
     assert len(sec) == len(fem)
 
 
-@pytest.mark.xfail(
-    strict=True, raises=ZeroModeMismatchError, reason="the zero floor scales with lam_max, not with the mesh's error"
-)
 def test_zero_modes_do_not_depend_on_lam_max():
-    # on a coarse mesh the constant mode's FEM value, 7.8e-7, lies above
-    # ZERO_THRESHOLD_REL * 50 but below ZERO_THRESHOLD_REL * 100
+    # on a coarse mesh the constant mode's FEM value is 7.8e-7 at every
+    # lam_max; it is a zero mode by its index, whatever lam_max is
     from conesum.analysis import assemble_spectrum
 
     small = geo.cone(0.375)
-    for lam_max in (100.0, 50.0):
+    for lam_max in (100.0, 50.0, 15.0):
         assert assemble_spectrum(small, 3, 0, lam_max, mesh=MeshSpec(h=0.1)).zero_count == 1
+
+
+def test_zero_mode_of_a_thin_cylinder_is_enumerated():
+    # the volume form of S^2 on [0.15625, 0.3125] x S^2 with absolute ends is
+    # harmonic, though its channel's c / R_max^2 = 20.48 exceeds lam_max
+    from conesum.analysis import assemble_spectrum
+
+    thin = geo.Profile(segments=(geo.Segment(0.15625, 0.3125, -1),), start_bc=BCKind.ABSOLUTE, end_bc=BCKind.ABSOLUTE)
+    for method, mesh in (("fem", MeshSpec(h=0.1)), ("secular", None)):
+        assert assemble_spectrum(thin, 2, 2, 15.0, method=method, mesh=mesh).zero_count == 1, method
+
+
+@pytest.mark.xfail(strict=True, raises=ConvergenceError, reason="elements near a small radius do not shrink with h")
+@pytest.mark.parametrize("h", [0.1, 0.02])
+def test_fem_converges_near_a_small_absolute_end(h):
+    # _segment_radii caps elements at radial_fraction * r near r = 0.023,
+    # whatever h is, and the Richardson estimate stays 1.4e-4 > CONV_RTOL
+    from conesum.analysis import assemble_spectrum
+
+    end = geo.Profile(
+        segments=(geo.Segment(0.0, 0.375, +1), geo.Segment(0.09375, 0.375, -1), geo.Segment(0.0234375, 0.09375, -1)),
+        start_bc=BCKind.REGULAR_TIP,
+        end_bc=BCKind.ABSOLUTE,
+    )
+    assert assemble_spectrum(end, 2, 2, 15.0, mesh=MeshSpec(h=h)).zero_count == 1
 
 
 def test_fem_refinement_ratio():
@@ -407,6 +431,23 @@ def test_unresolved_mesh_is_rejected():
     prob = problems_for(me, 2, 0)[0]
     with pytest.raises(ConvergenceError):
         fem_spectrum(prob, MeshSpec(h=0.05, radial_fraction=1e9), 40.0)
+
+
+def test_fem_spectrum_raises_when_refinement_adds_an_eigenvalue():
+    # elements of h/64 ~ r/2 at the absolute end r = 0.0033 leave the zero
+    # mode at 20.4 on the coarse mesh, above the cap 19.75, and at 1.55 on
+    # the refined one: pairing the two lists must not drop it
+    thin = geo.Profile(
+        segments=(
+            geo.Segment(0.068359375, 0.3125, -1),
+            geo.Segment(0.01495361328125, 0.068359375, -1),
+            geo.Segment(0.0032711029052734375, 0.01495361328125, -1),
+        ),
+        start_bc=BCKind.ABSOLUTE,
+        end_bc=BCKind.ABSOLUTE,
+    )
+    with pytest.raises(ConvergenceError, match="refined mesh adds"):
+        fem_spectrum(find_problem(thin, 2, 2, "kH"), MeshSpec(h=0.1), 15.0)
 
 
 # ---------------------------------------------------------------------------
@@ -615,8 +656,8 @@ def test_first_positive_exact_matches_whole_spectrum_on_random_profiles(profile,
         lam = first_positive_exact(profile, n, p, mesh)
         # not below the search's first enumeration bound, where the search
         # solved its first slot: below it, the channel bound c / R_max^2 can
-        # exclude a channel holding the value, and a coarse zero mode can
-        # exceed the zero floor (the two xfail tests above)
+        # exclude a channel holding the value
+        # (test_channel_bound_holds_on_a_necked_profile)
         cap = max(1.5 * lam, FIRST_EXACT_BOUND * max(1.0, profile.r_max**-2))
         if p:
             whole = exact_form_spectrum(profile, n, p, cap, mesh)
@@ -655,6 +696,27 @@ def test_secular_spectrum_invariant_under_split_segment_on_random_profiles(profi
     assert len(split.entries) == len(base.entries)
     assert split.zero_count == base.zero_count
     assert split.positive_values() == pytest.approx(base.positive_values(), rel=1e-10, abs=0)
+
+
+@settings(max_examples=10, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]))
+def test_zero_mode_counts_are_betti_numbers_on_random_profiles(profile, n):
+    # the analytic counts are the Betti numbers of the sphere (two tips), the
+    # ball (a tip and an absolute end) or [a, b] x S^n (two absolute ends),
+    # and a coarse FEM spectrum shows its gap right after every slot's kernel
+    # (draws where FEM does not converge near a small radius are discarded:
+    # test_fem_converges_near_a_small_absolute_end pins that defect)
+    from conesum.analysis import assemble_spectrum
+
+    tips = [bc is BCKind.REGULAR_TIP for bc in (profile.start_bc, profile.end_bc)]
+    betti = {0: 1, n + 1: 1} if all(tips) else {0: 1} if any(tips) else {0: 1, n: 1}
+    cache: dict = {}
+    for p in range(n + 2):
+        try:
+            res = assemble_spectrum(profile, n, p, 15.0, mesh=MeshSpec(h=0.1), _slot_cache=cache)
+        except ConvergenceError:
+            reject()
+        assert res.zero_count == betti.get(p, 0), p
 
 
 @settings(max_examples=6, deadline=None)
