@@ -32,7 +32,10 @@ from .radial.problems import ChannelProblem, Eigenvalue, EigList, degree_problem
 from .radial.transfer import transfer_spectrum
 
 ZERO_GAP = 1e-5  # FEM's gap between zero modes and the first positive, and to the next
-CROSS_RTOL = 1e-6
+CROSS_RTOL = 1e-6  # FEM against secular eigenvalues with method="both"
+TAKA_MARGIN = 1.05  # sweep check: lam_eps <= TAKA_MARGIN lam_m1 at the last eps
+FINAL_REL_TOL = 0.02  # sweep check: relative error below this at the last eps
+MCGOWAN_OMEGA = 1.0  # omega of mcgowan_bound on the cover of mcgowan_report
 FIRST_EXACT_BOUND = 25.0  # first_positive_exact's initial enumeration bound at unit radius
 
 
@@ -78,9 +81,7 @@ def assemble_spectrum(
     lam_max: float,
     method: str = "fem",
     mesh: MeshSpec | None = None,
-    cross_rtol: float = CROSS_RTOL,
     want_fields: bool = False,
-    cap_factor: float = 1.0,
     _slot_cache: dict | None = None,
 ) -> SpectrumResult:
     """Full degree-p spectrum below lam_max; method in {fem, secular, both}.
@@ -91,7 +92,7 @@ def assemble_spectrum(
     slot (degree q+2).  Each slot is solved once per ``_slot_cache`` and
     looked up afterwards, so callers looping over degrees pass one dict;
     with method="both" each slot's FEM eigenvalues are checked once against
-    the secular solver (equal counts, agreement to ``cross_rtol``, else
+    the secular solver (equal counts, agreement to CROSS_RTOL, else
     SolverDisagreementError).  Zero modes are counted analytically from the
     harmonic matching systems; FEM's first that many eigenvalues per slot
     are its zero modes, once its spectrum shows a gap there
@@ -107,7 +108,7 @@ def assemble_spectrum(
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
     mesh = mesh or MeshSpec()
-    problems, certificate = degree_problems(profile, n, p, lam_max, cap_factor)
+    problems, certificate = degree_problems(profile, n, p, lam_max)
     cache = _slot_cache if _slot_cache is not None else {}
 
     entries: list[Eigenvalue] = []
@@ -121,7 +122,7 @@ def assemble_spectrum(
             pos_entries = _positive_entries(prob, fem_list, kernel_dim, lam_max)
             if method == "both":
                 fem_vals = [e.value for e in pos_entries]
-                _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values(), cross_rtol)
+                _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values())
             for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
                 fields[(prob.label, e.index)] = fld
         else:
@@ -129,7 +130,7 @@ def assemble_spectrum(
                 [
                     e
                     for slot in prob.slot_problems()
-                    for e in _slot_spectrum(slot, lam_max, method, mesh, cross_rtol, cache)
+                    for e in _slot_spectrum(slot, lam_max, method, mesh, cache)
                 ]
             )
             # ranks after the kernel, as FEM indexes the channel's own spectrum
@@ -159,7 +160,6 @@ def _slot_spectrum(
     lam_max: float,
     method: str,
     mesh: MeshSpec,
-    cross_rtol: float,
     cache: dict,
 ) -> list[Eigenvalue]:
     """Positive eigenvalues of one scalar slot problem, solved once per cache.
@@ -176,7 +176,7 @@ def _slot_spectrum(
             fem_list = fem_spectrum(slot, mesh, lam_max)
             pos = _positive_entries(slot, fem_list, first_order_kernel(slot).dim, lam_max)
             if method == "both":
-                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values(), cross_rtol)
+                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values())
             cache[key] = pos
     return cache[key]
 
@@ -200,13 +200,13 @@ def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, 
     return fem_list.entries[d:]
 
 
-def _cross_validate(prob, fem_vals, sec_vals, rtol):
+def _cross_validate(prob, fem_vals, sec_vals):
     if len(fem_vals) != len(sec_vals):
         raise SolverDisagreementError(
             f"{prob.label}: secular found {len(sec_vals)} eigenvalues, FEM {len(fem_vals)}"
         )
     for i, (a, b) in enumerate(zip(fem_vals, sec_vals)):
-        if abs(a - b) > rtol * max(abs(a), abs(b), 1e-3):
+        if abs(a - b) > CROSS_RTOL * max(abs(a), abs(b), 1e-3):
             raise SolverDisagreementError(
                 f"{prob.label}: eigenvalue {i} disagrees: fem {a} vs secular {b}"
             )
@@ -248,7 +248,7 @@ def exact_form_spectrum(
     mesh = mesh or MeshSpec()
     out: list[float] = []
     for prob in _exact_slots(profile, n, p, lam_max):
-        for e in _slot_spectrum(prob, lam_max, "fem", mesh, CROSS_RTOL, {}):
+        for e in _slot_spectrum(prob, lam_max, "fem", mesh, {}):
             out.extend([e.value] * prob.multiplicity)
     return np.array(sorted(out))
 
@@ -288,7 +288,7 @@ def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
                 break
             if best < math.inf and coarse_count(slot, mesh, best) == first_order_kernel(slot).dim:
                 continue
-            pos = _slot_spectrum(slot, min(best, bound), "fem", mesh, CROSS_RTOL, cache)
+            pos = _slot_spectrum(slot, min(best, bound), "fem", mesh, cache)
             best = pos[0].value if pos else best
         if best < math.inf:
             return best
@@ -321,8 +321,6 @@ def mcgowan_report(
     p: int,
     eps: float,
     mesh: MeshSpec | None = None,
-    omega: float = 1.0,
-    c_rho: float | None = None,
     _unit_cache: dict | None = None,
 ) -> McGowanReport:
     """Evaluate the Mayer-Vietoris bound on the standard cover of m_eps.
@@ -332,7 +330,9 @@ def mcgowan_report(
     first positive Neumann eigenvalue on functions; first_positive_exact's
     search finds each.  U2 and U12 are exact eps-scalings of unit-size
     profiles, so they are solved once at unit scale and rescaled by 1/eps^2
-    (cached across the sweep via ``_unit_cache``).
+    (cached across the sweep via ``_unit_cache``).  The bound takes omega =
+    MCGOWAN_OMEGA and c_rho = partition_gradient_constant(eps), that of the
+    log-linear partition of unity on U12.
     """
     if not 1 <= p <= n:
         raise DomainError(f"McGowan bound applies for 1 <= p <= n, got p={p}")
@@ -340,16 +340,16 @@ def mcgowan_report(
     mu1 = first_positive_exact(cover_profiles(m_eps, eps)[0], n, p, mesh)
     cache = _unit_cache if _unit_cache is not None else {}
     mu2, mu12 = (mu / eps**2 for mu in _unit_cover_inputs(m_eps, n, p, eps, mesh, cache, {}))
-    c_rho_val = partition_gradient_constant(eps) if c_rho is None else c_rho
+    c_rho = partition_gradient_constant(eps)
     return McGowanReport(
         eps=eps,
         degree=p,
         mu_p_u1=mu1,
         mu_p_u2=mu2,
         mu_pm1_u12=mu12,
-        omega=omega,
-        c_rho=c_rho_val,
-        bound=mcgowan_bound(mu1, mu2, mu12, omega, c_rho_val),
+        omega=MCGOWAN_OMEGA,
+        c_rho=c_rho,
+        bound=mcgowan_bound(mu1, mu2, mu12, MCGOWAN_OMEGA, c_rho),
     )
 
 
@@ -502,14 +502,11 @@ class SweepReport:
 
 
 def _sweep_one_eps(args: tuple) -> tuple:
-    (m1, m2, n, degrees, eps, lam_max, mesh, method, solver, omega, c_rho, cache) = args
+    (m1, m2, n, degrees, eps, lam_max, mesh, method, cache) = args
     m_eps = connected_sum_profile(m1, m2, eps)
-    mcg = {
-        p: mcgowan_report(m_eps, n, p, eps, mesh, omega, c_rho, cache) for p in range(1, n + 1)
-    }
+    mcg = {p: mcgowan_report(m_eps, n, p, eps, mesh, cache) for p in range(1, n + 1)}
     spectra = {
-        p: assemble_spectrum(m_eps, n, p, lam_max, method, mesh, **solver, want_fields=True)
-        for p in degrees
+        p: assemble_spectrum(m_eps, n, p, lam_max, method, mesh, want_fields=True) for p in degrees
     }
     return eps, spectra, mcg
 
@@ -524,19 +521,14 @@ def sweep_epsilon(
     k_track: int,
     mesh: MeshSpec | None = None,
     method: str = "fem",
-    omega: float = 1.0,
-    c_rho: float | None = None,
-    taka_margin: float = 1.05,
-    final_rel_tol: float = 0.02,
     jobs: int = 1,
-    cross_rtol: float = CROSS_RTOL,
-    cap_factor: float = 1.0,
 ) -> SweepReport:
     """Collapse experiment: spectra of M_eps against M1 over a decreasing eps list.
 
-    ``cross_rtol`` and ``cap_factor`` go to both assemble_spectrum calls,
-    the M1 reference and each M_eps.  The McGowan bounds, for p = 1..n, come
-    from first_positive_exact, which keeps cap_factor 1.
+    ``method`` and ``mesh`` go to both assemble_spectrum calls, the M1
+    reference and each M_eps.  The McGowan bounds, for p = 1..n, come from
+    mcgowan_report.  The report's checks use TAKA_MARGIN and FINAL_REL_TOL
+    at the last eps.
 
     With jobs > 1 the per-epsilon work runs in a process pool; every task is a
     pure function, so the aggregated report is identical for any job count.
@@ -549,12 +541,8 @@ def sweep_epsilon(
     mcg: dict = {}
     zero_counts: dict = {}
 
-    solver = {"cross_rtol": cross_rtol, "cap_factor": cap_factor}
     slot_cache: dict = {}
-    ref = {
-        p: assemble_spectrum(m1, n, p, lam_max, method, mesh, **solver, _slot_cache=slot_cache)
-        for p in degrees
-    }
+    ref = {p: assemble_spectrum(m1, n, p, lam_max, method, mesh, _slot_cache=slot_cache) for p in degrees}
 
     # unit-scale cover pieces are eps-independent: fill the cache once
     unit_cache: dict = {}
@@ -562,10 +550,7 @@ def sweep_epsilon(
     m_eps0 = connected_sum_profile(m1, m2, epsilons[0])
     for p in range(1, n + 1):
         _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, unit_cache, unit_slots)
-    tasks = [
-        (m1, m2, n, degrees, eps, lam_max, mesh, method, solver, omega, c_rho, unit_cache)
-        for eps in epsilons
-    ]
+    tasks = [(m1, m2, n, degrees, eps, lam_max, mesh, method, unit_cache) for eps in epsilons]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -607,7 +592,7 @@ def sweep_epsilon(
                 )
             diagnostics[(eps, p)] = diag_list
 
-    checks = _sweep_checks(rows, mcg, zero_counts, ref, epsilons, degrees, taka_margin, final_rel_tol, n)
+    checks = _sweep_checks(rows, mcg, zero_counts, epsilons, degrees)
     return SweepReport(
         rows=rows,
         diagnostics=diagnostics,
@@ -618,7 +603,7 @@ def sweep_epsilon(
     )
 
 
-def _sweep_checks(rows, mcg, zero_counts, ref, epsilons, degrees, taka_margin, final_rel_tol, n):
+def _sweep_checks(rows, mcg, zero_counts, epsilons, degrees):
     by_pk: dict = {}
     for r in rows:
         by_pk.setdefault((r.degree, r.k), []).append(r)
@@ -626,8 +611,8 @@ def _sweep_checks(rows, mcg, zero_counts, ref, epsilons, degrees, taka_margin, f
         all(a.abs_err > b.abs_err for a, b in zip(seq, seq[1:]))
         for seq in by_pk.values()
     )
-    final_ok = all(seq[-1].rel_err < final_rel_tol for seq in by_pk.values())
-    taka_ok = all(seq[-1].lam_eps <= taka_margin * seq[-1].lam_m1 for seq in by_pk.values())
+    final_ok = all(seq[-1].rel_err < FINAL_REL_TOL for seq in by_pk.values())
+    taka_ok = all(seq[-1].lam_eps <= TAKA_MARGIN * seq[-1].lam_m1 for seq in by_pk.values())
     zero_constant = all(
         len({zero_counts[(e, p)] for e in epsilons}) == 1 for p in degrees
     )

@@ -167,8 +167,6 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
             cfg.lam_max,
             cfg.method,
             cfg.mesh(),
-            cross_rtol=cfg.solver["cross_rtol"],
-            cap_factor=cfg.solver["cap_factor"],
             _slot_cache=slot_cache,
         )
         for i, e in enumerate(res.entries):
@@ -208,13 +206,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = F
         k_track=cfg.k_track,
         mesh=cfg.mesh(),
         method=cfg.method,
-        omega=cfg.mcgowan["omega"],
-        c_rho=cfg.mcgowan["c_rho"],
-        taka_margin=cfg.checks["taka_margin"],
-        final_rel_tol=cfg.checks["final_rel_tol"],
         jobs=jobs,
-        cross_rtol=cfg.solver["cross_rtol"],
-        cap_factor=cfg.solver["cap_factor"],
     )
     rows = [
         [r.eps, r.degree, r.k, r.lam_eps, r.lam_m1, r.abs_err, r.rel_err, r.bord_ratio, r.mcgowan, r.zero_count]
@@ -301,10 +293,7 @@ def _cmd_mcgowan(cfg: RunConfig, out: Path, fmt: str, **_):
     for eps in cfg.epsilons:
         m_eps = connected_sum_profile(cfg.m1(), cfg.m2(), eps)
         for p in range(1, cfg.n + 1):
-            rep = mcgowan_report(
-                m_eps, cfg.n, p, eps, cfg.mesh(),
-                omega=cfg.mcgowan["omega"], c_rho=cfg.mcgowan["c_rho"], _unit_cache=cache,
-            )
+            rep = mcgowan_report(m_eps, cfg.n, p, eps, cfg.mesh(), _unit_cache=cache)
             rows.append([eps, p, rep.mu_p_u1, rep.mu_p_u2, rep.mu_pm1_u12, rep.omega, rep.c_rho, rep.bound])
             if rep.bound <= 0:
                 failures.append(f"nonpositive bound at eps={eps}, p={p}")

@@ -47,24 +47,6 @@ SCHEMA = {
             "properties": {
                 "method": {"enum": ["fem", "secular", "both"]},
                 "mesh_h": {"type": "number", "exclusiveMinimum": 0},
-                "cross_rtol": {"type": "number", "exclusiveMinimum": 0},
-                "cap_factor": {"type": "number", "minimum": 1},
-            },
-            "additionalProperties": False,
-        },
-        "mcgowan": {
-            "type": "object",
-            "properties": {
-                "omega": {"type": "number", "exclusiveMinimum": 0},
-                "c_rho": {"type": ["number", "null"], "exclusiveMinimum": 0},
-            },
-            "additionalProperties": False,
-        },
-        "checks": {
-            "type": "object",
-            "properties": {
-                "taka_margin": {"type": "number", "exclusiveMinimum": 1},
-                "final_rel_tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -91,14 +73,7 @@ DEFAULTS = {
     "epsilons": [0.2, 0.1, 0.05, 0.025],
     "lam_max": 40.0,
     "k_track": 5,
-    "solver": {
-        "method": "fem",
-        "mesh_h": 0.02,
-        "cross_rtol": 1e-6,
-        "cap_factor": 1.0,
-    },
-    "mcgowan": {"omega": 1.0, "c_rho": None},
-    "checks": {"taka_margin": 1.05, "final_rel_tol": 0.02},
+    "solver": {"method": "fem", "mesh_h": 0.02},
     "output": {"format": "csv", "directory": "out", "svg": False},
     "mu_sq_max": 60.0,
 }
@@ -147,18 +122,6 @@ class RunConfig:
 
     def mesh(self) -> MeshSpec:
         return MeshSpec(h=float(self.raw["solver"]["mesh_h"]))
-
-    @property
-    def solver(self) -> dict:
-        return self.raw["solver"]
-
-    @property
-    def mcgowan(self) -> dict:
-        return self.raw["mcgowan"]
-
-    @property
-    def checks(self) -> dict:
-        return self.raw["checks"]
 
     @property
     def output(self) -> dict:

@@ -67,12 +67,11 @@ class MeshSpec:
 
 
 def _segment_radii(r_lo: float, r_hi: float, spec: MeshSpec) -> np.ndarray:
-    floor_h = spec.h * spec.tip_floor
-    radii = [r_lo]
-    r = max(r_lo, floor_h if r_lo == 0.0 else r_lo)
-    if r_lo == 0.0:
-        radii.append(min(floor_h, 0.5 * (r_hi - r_lo)))
-        r = radii[-1]
+    # the element floor h * tip_floor, capped at half the smaller positive end
+    # radius: elements beside a seam of radius r must not exceed r/2
+    floor_h = min(spec.h * spec.tip_floor, 0.5 * (r_lo or r_hi))
+    radii = [r_lo] if r_lo > 0.0 else [0.0, floor_h]
+    r = radii[-1]
     while r < r_hi:
         step = min(spec.h, max(spec.radial_fraction * r, floor_h))
         r = r + step

@@ -38,10 +38,7 @@ NEAR_SINGULAR_FACTOR = 100.0
 @dataclass(frozen=True)
 class KernelResult:
     dim: int
-    singular_values: tuple[float, ...]
     near_singular: bool
-    n_unknowns: int
-    n_rows: int
 
 
 def _branches(problem: ChannelProblem):
@@ -52,14 +49,18 @@ def _branches(problem: ChannelProblem):
     return [(gamma, np.array([1.0]))]
 
 
-def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> KernelResult:
+def first_order_kernel(problem: ChannelProblem) -> KernelResult:
     """Dimension of the harmonic fields of ``problem`` on its profile.
 
-    Scalar slots of non-harmonic MINUS_HALF blocks are structurally trivial
-    and report dimension 0 without assembling a system.
+    The rank of the column-scaled matching system counts the singular values
+    above RANK_TOL * sigma_max; ``near_singular`` flags one in
+    (RANK_TOL, NEAR_SINGULAR_FACTOR * RANK_TOL] * sigma_max, where the count
+    would depend on the cut.  Scalar slots of non-harmonic MINUS_HALF blocks
+    are structurally trivial and report dimension 0 without assembling a
+    system.
     """
     if problem.size == 1 and problem.block.family is not Family.EXCEPTIONAL:
-        return KernelResult(0, (), False, 0, 0)
+        return KernelResult(0, False)
 
     profile = problem.profile
     branches = _branches(problem)
@@ -97,7 +98,7 @@ def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> K
     offsets = np.cumsum([0] + [len(a) for a in allowed])
     n_unknowns = int(offsets[-1])
     if n_unknowns == 0:
-        return KernelResult(0, (), False, 0, 0)
+        return KernelResult(0, False)
 
     def dsign(seg: Segment) -> np.ndarray:
         return problem.orientation_signs(seg.orientation)
@@ -139,26 +140,12 @@ def first_order_kernel(problem: ChannelProblem, rank_tol: float = RANK_TOL) -> K
             rows.append(full)
 
     if not rows:
-        return KernelResult(n_unknowns, (), False, n_unknowns, 0)
+        return KernelResult(n_unknowns, False)
 
     mat = np.vstack(rows)
     norms = np.linalg.norm(mat, axis=0)
     norms[norms == 0] = 1.0
     sv = np.linalg.svd(mat / norms, compute_uv=False)
-    sv_max = sv[0] if len(sv) else 0.0
-    if sv_max == 0.0:
-        rank = 0
-        near = False
-    else:
-        rank = int(np.sum(sv > rank_tol * sv_max))
-        near = bool(
-            np.any((sv > rank_tol * sv_max) & (sv <= NEAR_SINGULAR_FACTOR * rank_tol * sv_max))
-        )
-    return KernelResult(
-        dim=n_unknowns - rank,
-        singular_values=tuple(float(s) for s in sv),
-        near_singular=near,
-        n_unknowns=n_unknowns,
-        n_rows=mat.shape[0],
-    )
-
+    above = sv > RANK_TOL * sv[0]
+    near = above & (sv <= NEAR_SINGULAR_FACTOR * RANK_TOL * sv[0])
+    return KernelResult(dim=n_unknowns - int(above.sum()), near_singular=bool(near.any()))

@@ -221,13 +221,12 @@ def degree_problems(
     n: int,
     p: int,
     lam_max: float,
-    cap_factor: float = 1.0,
 ) -> tuple[list[ChannelProblem], dict]:
     """All channel problems of degree p that can produce eigenvalues <= lam_max.
 
     A block is excludable when every eigenvalue of its potential matrix
-    exceeds cap = lam_max * R_max^2 * cap_factor, because eigenvalues of a
-    channel obey lam >= min gamma(gamma+1) / R_max^2.  Exceptional blocks
+    exceeds cap = lam_max * R_max^2, because eigenvalues of a channel obey
+    lam >= min gamma(gamma+1) / R_max^2.  Exceptional blocks
     (mu^2 = 0) are never excluded: the degree-n one carries the zero mode
     of [a, b] x S^n with absolute ends at any R_max.  The returned
     certificate records the cutoff; modes are enumerated up to
@@ -241,10 +240,8 @@ def degree_problems(
         raise DomainError(f"degree must satisfy 0 <= p <= n+1, got p={p}")
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
-    if cap_factor < 1.0:
-        raise EnumerationError(f"cap_factor below 1 voids the completeness certificate: {cap_factor}")
     r_max = profile.r_max
-    cap = lam_max * r_max * r_max * cap_factor
+    cap = lam_max * r_max * r_max
     mu_sq_cut = (1.0 + math.sqrt(cap + 0.25)) ** 2
     problems: list[ChannelProblem] = []
     excluded: list[tuple[str, float]] = []

@@ -16,7 +16,7 @@ from conesum.analysis import (
     xi_eps,
     xi_one,
 )
-from conesum.errors import DomainError, EnumerationError, ZeroModeMismatchError
+from conesum.errors import DomainError, ZeroModeMismatchError
 from conesum.geometry import connected_sum_profile, cover_profiles, spindle, truncated_spindle
 from conesum.radial.fem import MeshSpec
 from conesum.radial.problems import degree_problems
@@ -77,8 +77,6 @@ def test_positive_entry_indexing(spindle_spectra):
 def test_enumeration_certificate(spindle_spectra):
     cert = spindle_spectra[0].certificate
     assert cert["excluded_floor"] is None or cert["excluded_floor"] > cert["lam_max"]
-    with pytest.raises(EnumerationError):
-        degree_problems(spindle(1.0), 2, 0, 40.0, cap_factor=0.99)
 
 
 def test_assemble_rejects_unknown_method():

@@ -175,4 +175,5 @@ def test_kernel_invariant_under_exterior_choice():
             profile=prof, n=2, degree=block.degrees[0], block=block,
             slot_indices=tuple(range(block.size)), multiplicity=1,
         )
-        assert fo.first_order_kernel(prob).dim == fo.first_order_kernel(prob, rank_tol=1e-8).dim
+        # no singular value in (1e-10, 1e-8] sigma_max: the rank is the same at both cuts
+        assert not fo.first_order_kernel(prob).near_singular

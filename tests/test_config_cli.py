@@ -49,8 +49,18 @@ def test_schema_rejections(tmp_path):
     bad.write_text(json.dumps({"epsilons": [0.1, 0.1]}))
     with pytest.raises(ConfigError):
         load_config(bad)
-    for solver in ({"fem_order": 3}, {"grading": False}, {"zero_threshold_rel": 1e-8}):
-        bad.write_text(json.dumps({"solver": solver}))
+    for removed in (
+        {"solver": {"fem_order": 3}},
+        {"solver": {"grading": False}},
+        {"solver": {"zero_threshold_rel": 1e-8}},
+        {"solver": {"cross_rtol": 1e-6}},
+        {"solver": {"cap_factor": 1.0}},
+        {"mcgowan": {"omega": 1.0}},
+        {"mcgowan": {"c_rho": 1.0}},
+        {"checks": {"taka_margin": 1.05}},
+        {"checks": {"final_rel_tol": 0.02}},
+    ):
+        bad.write_text(json.dumps(removed))
         with pytest.raises(ConfigError):
             load_config(bad)
 
@@ -146,10 +156,13 @@ def test_sweep_command_small(tmp_path):
     assert (tmp_path / "plots" / "error_vs_eps.svg").exists()
 
 
-def test_sweep_honours_solver_fields(tmp_path, capsys):
-    # a cross-solver tolerance below FEM's accuracy must fail the sweep as
-    # it fails `spectrum`, not be dropped
-    solver = {**DEFAULTS["solver"], "method": "both", "cross_rtol": 1e-14}
+def test_sweep_honours_solver_fields(tmp_path, capsys, monkeypatch):
+    # with method "both" the sweep cross-checks FEM against the secular
+    # solver as `spectrum` does: a tolerance below FEM's accuracy must fail it
+    from conesum import analysis
+
+    monkeypatch.setattr(analysis, "CROSS_RTOL", 1e-14)
+    solver = {**DEFAULTS["solver"], "method": "both"}
     cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0, solver=solver)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SolverDisagreementError"
@@ -200,6 +213,40 @@ def test_benchmark_tracer_binds_every_traced_name():
     assert proc.returncode == 0, proc.stderr
     spans, calls, points = map(int, proc.stdout.split())
     assert spans > 0 and calls > 0 and points > 0
+
+
+BENCHMARK_GUARD = """
+import json, sys
+from pathlib import Path
+root, work = Path(sys.argv[1]), Path(sys.argv[2])
+sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+import check, workloads
+from conesum.cli import main
+for name in ("sweep", "crosscheck", "hodge"):
+    workload = workloads.WORKLOADS[name]
+    cfg, eps = workloads.inputs(workload, 0)
+    stored = json.loads((root / "perfbench" / "refs" / f"{name}.json").read_text())["0"]
+    assert (stored["config"], stored["eps"]) == (cfg, eps), name
+    path, out = work / f"{name}.json", work / name
+    path.write_text(json.dumps(cfg))
+    assert main(workloads.argv(workload, str(path), str(out), eps)) == 0, name
+    hodge_n = cfg["n"] if workload.hodge_dual else None
+    _, failures = check.check_output(out, workload.outputs, stored["output"], hodge_n)
+    print(name, json.dumps(failures))
+"""
+
+
+def test_benchmark_workloads_match_their_references(tmp_path):
+    # variant 0 of every benchmark workload, run as the benchmark runs it and
+    # checked by its checker against its stored reference; in a fresh
+    # interpreter, with -B so nothing is written into perfbench/
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", BENCHMARK_GUARD, str(root), str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    failures = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
+    assert failures == {"sweep": "[]", "crosscheck": "[]", "hodge": "[]"}
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded():

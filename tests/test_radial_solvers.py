@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from conesum import geometry as geo
 from conesum.cone_operator import Family
@@ -15,6 +15,7 @@ from conesum.radial import sturm
 from conesum.radial.fem import (
     MeshSpec,
     _assemble,
+    _check_resolution,
     band_to_sparse,
     fem_spectrum,
     make_mesh,
@@ -717,6 +718,73 @@ def test_zero_mode_counts_are_betti_numbers_on_random_profiles(profile, n):
         except ConvergenceError:
             reject()
         assert res.zero_count == betti.get(p, 0), p
+
+
+@st.composite
+def closed_profiles(draw):
+    """A tip, 0-2 conical segments and another tip: a closed manifold."""
+    radius = draw(st.floats(0.3, 1.5))
+    segments = [geo.Segment(0.0, radius, +1)]
+    for _ in range(draw(st.integers(0, 2))):
+        if draw(st.booleans()):
+            nxt = radius + draw(st.floats(0.3, 1.5))
+            segments.append(geo.Segment(radius, nxt, +1))
+        else:
+            nxt = radius * draw(st.floats(0.2, 0.7))
+            segments.append(geo.Segment(nxt, radius, -1))
+        radius = nxt
+    segments.append(geo.Segment(0.0, radius, -1))
+    return geo.Profile(segments=tuple(segments), start_bc=BCKind.REGULAR_TIP, end_bc=BCKind.REGULAR_TIP)
+
+
+@settings(max_examples=8, deadline=None)
+@given(profile=closed_profiles(), n=st.sampled_from([2, 3]))
+def test_hodge_duality_on_random_closed_profiles(profile, n):
+    # the Hodge star maps p-forms onto (n+1-p)-forms of a closed manifold
+    from conesum.analysis import assemble_spectrum
+
+    spectra = [assemble_spectrum(profile, n, p, 10.0, method="secular") for p in range(n + 2)]
+    for p in range(n + 2):
+        dual = spectra[n + 1 - p]
+        assert spectra[p].zero_count == dual.zero_count, p
+        assert spectra[p].positive_values() == pytest.approx(dual.positive_values(), rel=1e-10, abs=0), p
+
+
+@st.composite
+def thin_profiles(draw):
+    """1-5 conical segments through radii down to 1e-4, each end a tip or absolute."""
+    radii = [10**x for x in draw(st.lists(st.floats(-4.0, 0.3), min_size=2, max_size=4, unique=True))]
+    radii = [0.0] * draw(st.booleans()) + radii + [0.0] * draw(st.booleans())
+    assume(all(a != b for a, b in zip(radii, radii[1:])))
+    segments = tuple(geo.Segment(min(a, b), max(a, b), 1 if b > a else -1) for a, b in zip(radii, radii[1:]))
+    ends = [BCKind.REGULAR_TIP if r == 0.0 else BCKind.ABSOLUTE for r in (radii[0], radii[-1])]
+    return geo.Profile(segments=segments, start_bc=ends[0], end_bc=ends[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(profile=thin_profiles(), h=st.sampled_from([0.5, 0.1, 0.02]))
+def test_mesh_resolves_every_seam_on_random_profiles(profile, h):
+    # elements beside a seam of radius r are at most r/2, whatever h is
+    _check_resolution(profile, make_mesh(profile, MeshSpec(h=h)))
+
+
+def test_first_positive_exact_beside_a_seam_below_the_element_floor():
+    # the seam at r = 0.0030 lies below h/32 at h = 0.1: its elements must
+    # shrink to r/2, and the values agree with the h = 0.02 mesh
+    from conesum.analysis import first_positive_exact
+
+    profile = mirrored(geo.Profile(
+        segments=(
+            geo.Segment(0.068359375, 0.3125, -1),
+            geo.Segment(0.013885498046875, 0.068359375, -1),
+            geo.Segment(0.0030374526977539062, 0.013885498046875, -1),
+        ),
+        start_bc=BCKind.ABSOLUTE,
+        end_bc=BCKind.ABSOLUTE,
+    ))
+    for p in range(3):
+        coarse = first_positive_exact(profile, 2, p, MeshSpec(h=0.1))
+        assert coarse == pytest.approx(first_positive_exact(profile, 2, p, MeshSpec(h=0.02)), rel=1e-9), p
 
 
 @settings(max_examples=6, deadline=None)
