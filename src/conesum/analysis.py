@@ -101,9 +101,11 @@ def assemble_spectrum(
 
     ``want_fields`` (with FEM) solves every channel as such, coupled ones
     included, to attach its eigenfunctions; this is the only coupled FEM
-    solve.  Without it, a coupled problem with Dirichlet-like or APS ends
-    raises DomainError, since its slots do not carry its spectrum there;
-    with it, only the APS ends raise (``ChannelProblem.endpoint``).
+    solve.  A field computes its eigenvector (inverse iteration) on first
+    read, so a caller pays only for the fields it reads.  Without it, a
+    coupled problem with Dirichlet-like or APS ends raises DomainError,
+    since its slots do not carry its spectrum there; with it, only the APS
+    ends raise (``ChannelProblem.endpoint``).
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
@@ -502,13 +504,23 @@ class SweepReport:
 
 
 def _sweep_one_eps(args: tuple) -> tuple:
-    (m1, m2, n, degrees, eps, lam_max, mesh, method, cache) = args
+    """McGowan reports, M_eps spectra and the boundary diagnostics of each
+    degree's k_track lowest positive eigenvalues at one eps; the spectra
+    return without fields, so their pencils end with the task."""
+    (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, cache) = args
     m_eps = connected_sum_profile(m1, m2, eps)
     mcg = {p: mcgowan_report(m_eps, n, p, eps, mesh, cache) for p in range(1, n + 1)}
-    spectra = {
-        p: assemble_spectrum(m_eps, n, p, lam_max, method, mesh, want_fields=True) for p in degrees
-    }
-    return eps, spectra, mcg
+    spectra, diagnostics = {}, {}
+    for p in degrees:
+        res = assemble_spectrum(m_eps, n, p, lam_max, method, mesh, want_fields=True)
+        diagnostics[p] = []
+        for k in range(1, k_track + 1):
+            entry, idx = res.positive_entry(k)
+            fld = res.fields.get((entry.problem.label, idx))
+            diagnostics[p].append(boundary_diagnostics(fld, eps, n, entry.value) if fld is not None else None)
+        res.fields = {}
+        spectra[p] = res
+    return eps, spectra, mcg, diagnostics
 
 
 def sweep_epsilon(
@@ -550,7 +562,7 @@ def sweep_epsilon(
     m_eps0 = connected_sum_profile(m1, m2, epsilons[0])
     for p in range(1, n + 1):
         _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, unit_cache, unit_slots)
-    tasks = [(m1, m2, n, degrees, eps, lam_max, mesh, method, unit_cache) for eps in epsilons]
+    tasks = [(m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, unit_cache) for eps in epsilons]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -560,22 +572,17 @@ def sweep_epsilon(
         results = {r[0]: r for r in map(_sweep_one_eps, tasks)}
 
     for eps in epsilons:
-        _, spectra, mcg_eps = results[eps]
+        _, spectra, mcg_eps, diags = results[eps]
         for p, rep in mcg_eps.items():
             mcg[(eps, p)] = rep
         for p in degrees:
             res = spectra[p]
             zero_counts[(eps, p)] = res.zero_count
             ref_pos = ref[p].positive_values()
-            diag_list = []
             mcg_val = mcg[(eps, p)].bound if (eps, p) in mcg else float("nan")
-            for k in range(1, k_track + 1):
-                entry, idx = res.positive_entry(k)
-                lam_e = entry.value
+            for k, d in enumerate(diags[p], start=1):
+                lam_e = res.positive_entry(k)[0].value
                 lam_1 = float(ref_pos[k - 1])
-                fld = res.fields.get((entry.problem.label, idx))
-                d = boundary_diagnostics(fld, eps, n, lam_e) if fld is not None else None
-                diag_list.append(d)
                 rows.append(
                     SweepRow(
                         eps=eps,
@@ -590,7 +597,7 @@ def sweep_epsilon(
                         zero_count=res.zero_count,
                     )
                 )
-            diagnostics[(eps, p)] = diag_list
+            diagnostics[(eps, p)] = diags[p]
 
     checks = _sweep_checks(rows, mcg, zero_counts, epsilons, degrees)
     return SweepReport(

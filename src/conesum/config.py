@@ -65,6 +65,9 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
+# built once: jsonschema.validate would check SCHEMA against its metaschema on every call
+_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
 DEFAULTS = {
     "n": 2,
     "degrees": [0, 1],
@@ -153,10 +156,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     merged = _merge(DEFAULTS, data)
     if overrides:
         merged = _merge(merged, overrides)
-    try:
-        jsonschema.validate(merged, SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(merged))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     eps = merged["epsilons"]
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")

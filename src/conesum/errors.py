@@ -13,10 +13,6 @@ class UnsupportedMultiplicityError(ConesumError, LookupError):
     """The closed-form sphere multiplicity is not an integer at the requested mode."""
 
 
-class EnumerationError(ConesumError):
-    """Channel enumeration cannot be certified complete below the requested cutoff."""
-
-
 class SolverDisagreementError(ConesumError):
     """Independent solvers disagree beyond the configured tolerance."""
 

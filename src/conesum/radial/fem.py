@@ -22,8 +22,9 @@ dofs, by the per-slot mask of ``ChannelProblem.endpoint``, so the kept dofs
 are renumbered in order.
 :func:`inertia_count` counts the eigenvalues below a cap by Sylvester's law
 of inertia (spectrum slicing, Ericsson-Ruhe 1980); :func:`solve_pencil`
-computes that many by shift-invert ARPACK on a banded Cholesky.  It is the
-only eigensolver of the package; the Sturm-Liouville oracle assembles its
+computes that many, values only, by shift-invert ARPACK on a banded
+Cholesky; :func:`inverse_iteration` gives one eigenvector.  They are the
+only eigensolvers of the package; the Sturm-Liouville oracle assembles its
 own pencil with :func:`band_assemble` and solves it here too.
 """
 
@@ -31,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sparse
@@ -52,6 +54,8 @@ _DN = np.stack([4 * _QX - 3, 4 - 8 * _QX, 4 * _QX - 1], axis=1)
 
 CONV_RTOL = 1e-4  # largest accepted Richardson estimate, relative to max(|lam|, 1)
 MIN_ELEMENTS = 2  # fewest elements on any segment
+SIMPLE_GAP = 1e-6  # inverse_iteration: least gap to the other eigenvalues, relative to max(|lam|, 1)
+RESIDUAL_TOL = 1e-8  # inverse_iteration: largest |K x - lam M x|, relative to max(|lam|, 1)
 
 
 @dataclass(frozen=True)
@@ -103,11 +107,21 @@ def refine_mesh(nodes: np.ndarray) -> np.ndarray:
 
 @dataclass(eq=False)
 class FemField:
-    """One discrete eigenfunction: P2 coefficients on the solve mesh."""
+    """One discrete eigenfunction: P2 coefficients on the solve mesh, computed on
+    first read by :func:`inverse_iteration` on a shared (K, M, keep, vals, lam_cap)."""
 
     problem: ChannelProblem
     vertices: np.ndarray  # (nv,)
-    coeffs: np.ndarray  # (npoints, size): vertex/midpoint interleaved
+    pencil: tuple  # shared by the fields of one fem_spectrum call
+    index: int  # of the eigenvalue in vals
+
+    @cached_property
+    def coeffs(self) -> np.ndarray:
+        """(npoints, size), vertex/midpoint interleaved, unit L2 norm."""
+        K, M, keep, vals, lam_cap = self.pencil
+        coeffs = np.zeros(len(keep))
+        coeffs[keep] = inverse_iteration(K, M, vals, lam_cap, self.index)
+        return coeffs.reshape(-1, self.problem.size)
 
     def values_at(self, ts: np.ndarray) -> np.ndarray:
         """(len(ts), size) array of the global channel variables."""
@@ -224,26 +238,26 @@ def inertia_count(K: np.ndarray, M: np.ndarray, lam_cap: float) -> int:
     return int(np.count_nonzero(lu.U.diagonal() < 0.0))
 
 
-def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float, want_vectors: bool = False):
+def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float) -> np.ndarray:
     """All eigenvalues below lam_cap of the banded pencil K x = lam M x, ascending.
 
     K and M are in upper band storage.  :func:`inertia_count` gives the
-    count; that many eigenpairs come from shift-invert ARPACK at sigma = -1
+    count; that many eigenvalues come from shift-invert ARPACK at sigma = -1
     on U^-T M U^-1, with K + M = U^T U a banded Cholesky factorisation: its
     eigenvalues are nu = 1 / (lam + 1), and standard mode 3 returns
     sigma + 1/nu = lam with no M-products.  ARPACK never applies eigsh's
-    first argument in this mode; K goes there for its shape.
-    ``want_vectors`` returns U^-1 y for ARPACK's vectors y, M-orthonormal,
-    as columns, else None.  Raises ConvergenceError if the count leaves
-    ARPACK no room (count >= n - 1), if K + M is not positive definite, or
-    if an eigenvalue returned is not below the cap.
+    first argument in this mode; K goes there for its shape.  No Ritz
+    vectors are formed; :func:`inverse_iteration` gives the eigenvector of
+    one value.  Raises ConvergenceError if the count leaves ARPACK no room
+    (count >= n - 1), if K + M is not positive definite, or if an
+    eigenvalue returned is not below the cap.
     """
     bw, n = K.shape[0] - 1, K.shape[1]
     count = inertia_count(K, M, lam_cap)
     if count >= n - 1:
         raise ConvergenceError(f"{count} eigenvalues below {lam_cap} in a pencil of size {n}")
     if count == 0:
-        return np.empty(0), (np.empty((n, 0)) if want_vectors else None)
+        return np.empty(0)
     chol, info = lapack.dpbtrf(K + M)
     if info != 0:
         raise ConvergenceError(f"K + M is not positive definite (dpbtrf info {info})")
@@ -255,27 +269,51 @@ def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float, want_vectors: boo
         return lapack.dtbtrs(chol, z.reshape(n, 1), trans="T")[0][:, 0]
 
     try:
-        result = splinalg.eigsh(
+        vals = splinalg.eigsh(
             band_to_sparse(K),
             k=count,
             sigma=-1.0,
             which="LM",
             OPinv=splinalg.LinearOperator((n, n), matvec=apply, dtype=float),
             v0=np.full(n, 1.0 / math.sqrt(n)),
-            return_eigenvectors=want_vectors,
+            return_eigenvectors=False,
         )
     except splinalg.ArpackError as exc:  # pragma: no cover
         raise ConvergenceError(f"eigensolver failed: {exc}") from exc
-    vals, vecs = result if want_vectors else (result, None)
-    order = np.argsort(vals)
-    vals = vals[order]
+    vals = np.sort(vals)
     if vals[-1] >= lam_cap:
         raise ConvergenceError(f"eigensolver missed an eigenvalue below {lam_cap}: got {vals[-1]}")
-    if not want_vectors:
-        return vals, None
-    # x = U^-1 y has x^T M x = nu = 1 / (lam + 1)
-    vecs = lapack.dtbtrs(chol, vecs[:, order])[0] * np.sqrt(1.0 + vals)
-    return vals, vecs
+    return vals
+
+
+def inverse_iteration(K: np.ndarray, M: np.ndarray, vals: np.ndarray, lam_cap: float, i: int) -> np.ndarray:
+    """M-normalised eigenvector of vals[i], where vals are all the eigenvalues
+    below lam_cap of the banded pencil K x = lam M x (:func:`solve_pencil`).
+
+    K - vals[i] M is factored once in general band storage (``dgbtrf``,
+    partial pivoting) and solved twice from a fixed start vector (Parlett,
+    *The Symmetric Eigenvalue Problem*, ch. 4).  Raises ConvergenceError if
+    another value of vals, or lam_cap, lies within SIMPLE_GAP max(|lam|, 1)
+    of lam = vals[i], so that its eigenvector is not determined, or if the
+    residual |K x - lam M x| exceeds RESIDUAL_TOL max(|lam|, 1).
+    """
+    bw, n = K.shape[0] - 1, K.shape[1]
+    lam = vals[i]
+    scale = max(abs(lam), 1.0)
+    if np.min(np.abs(np.append(np.delete(vals, i), lam_cap) - lam)) <= SIMPLE_GAP * scale:
+        raise ConvergenceError(f"eigenvalue {lam} is not simple to {SIMPLE_GAP:g}: no eigenvector")
+    shifted, mf = np.asfortranarray(K - lam * M), np.asfortranarray(M)
+    # band_to_sparse's diagonals, offsets -bw..bw, are rows 3 bw..bw of the
+    # general band storage; dgbtrf fills rows 0..bw-1 as it pivots
+    lu, piv, _ = lapack.dgbtrf(np.vstack([np.zeros((bw, n)), band_to_sparse(shifted).data[::-1]]), bw, bw)
+    x = np.linspace(1.0, 2.0, n)
+    for _ in range(2):
+        y = lapack.dgbtrs(lu, bw, bw, blas.dsbmv(bw, 1.0, mf, x).reshape(n, 1), piv)[0][:, 0]
+        x = y / math.sqrt(y @ blas.dsbmv(bw, 1.0, mf, y))
+    residual = np.max(np.abs(blas.dsbmv(bw, 1.0, shifted, x)))
+    if not residual <= RESIDUAL_TOL * scale:
+        raise ConvergenceError(f"inverse iteration at {lam}: residual {residual} exceeds {RESIDUAL_TOL:g}")
+    return x
 
 
 def _check_resolution(profile: Profile, nodes: np.ndarray):
@@ -310,7 +348,7 @@ def coarse_count(problem: ChannelProblem, mesh: MeshSpec, lam_max: float) -> int
 def single_mesh_eigenvalues(problem: ChannelProblem, nodes: np.ndarray, lam_max: float) -> np.ndarray:
     """Raw (unextrapolated) eigenvalues on one mesh; used by convergence studies."""
     K, M, _ = _assemble(problem, nodes)
-    return solve_pencil(K, M, lam_max)[0]
+    return solve_pencil(K, M, lam_max)
 
 
 def fem_spectrum(
@@ -322,8 +360,10 @@ def fem_spectrum(
     """Eigenvalues <= lam_max with Richardson extrapolation over two meshes.
 
     Entries report the extrapolated value and |lam_2 - lam_1| / 15 as the
-    convergence estimate; ``want_vectors`` attaches the fine-mesh
-    eigenfunctions (meta["fields"]) normalised to unit L2 norm.
+    convergence estimate; ``want_vectors`` attaches one fine-mesh
+    :class:`FemField` per entry (meta["fields"]), normalised to unit L2
+    norm.  The fields share the fine pencil, and each computes its
+    eigenvector only when its ``coeffs`` are first read.
     """
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
@@ -334,13 +374,12 @@ def fem_spectrum(
 
     vals1 = single_mesh_eigenvalues(problem, nodes1, lam_cap)
     K2, M2, keep = _assemble(problem, nodes2)
-    vals2, vecs2 = solve_pencil(K2, M2, lam_cap, want_vectors)
+    vals2 = solve_pencil(K2, M2, lam_cap)
 
     npair = min(len(vals1), len(vals2))
     if npair < len(vals2) and vals2[npair] <= lam_max:
         raise ConvergenceError(f"{problem.label}: refined mesh adds {vals2[npair]}, coarse one exceeds {lam_cap}")
     entries = []
-    fields = []
     zero_floor = 1e-9 * max(lam_max, 1.0)
     for i in range(npair):
         l1, l2 = vals1[i], vals2[i]
@@ -357,9 +396,7 @@ def fem_spectrum(
         entries.append(
             Eigenvalue(value=float(ext), problem=problem, index=i, method="fem", error=float(est))
         )
-        if want_vectors:
-            # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
-            coeffs = np.zeros(len(keep))
-            coeffs[keep] = vecs2[:, i]
-            fields.append(FemField(problem=problem, vertices=nodes2, coeffs=coeffs.reshape(-1, problem.size)))
-    return EigList(entries=entries, meta={"fields": fields if want_vectors else None})
+    # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
+    pencil = (K2, M2, keep, vals2, lam_cap)
+    fields = [FemField(problem, nodes2, pencil, i) for i in range(len(entries))] if want_vectors else None
+    return EigList(entries=entries, meta={"fields": fields})

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 
 from ..cone_operator import ALPHA, BETA, ABlock, Family, build_blocks, enumerate_blocks
-from ..errors import DomainError, EnumerationError
+from ..errors import DomainError
 from ..geometry import BCKind, Profile
 
 
@@ -244,7 +244,7 @@ def degree_problems(
     cap = lam_max * r_max * r_max
     mu_sq_cut = (1.0 + math.sqrt(cap + 0.25)) ** 2
     problems: list[ChannelProblem] = []
-    excluded: list[tuple[str, float]] = []
+    excluded: list[float] = []  # floors min_potential / R_max^2 > lam_max
     for block in enumerate_blocks(n, mu_sq_cut):
         if p not in block.degrees:
             continue
@@ -260,18 +260,13 @@ def degree_problems(
         if prob.min_potential() <= cap or block.family is Family.EXCEPTIONAL:
             problems.append(prob)
         else:
-            excluded.append((prob.label, prob.min_potential() / (r_max * r_max)))
+            excluded.append(prob.min_potential() / (r_max * r_max))
     certificate = {
         "lam_max": lam_max,
         "r_max": r_max,
         "cap": cap,
         "mu_sq_cut": mu_sq_cut,
         "included": len(problems),
-        "excluded_floor": min((f for _, f in excluded), default=None),
+        "excluded_floor": min(excluded, default=None),
     }
-    if certificate["excluded_floor"] is not None and certificate["excluded_floor"] <= lam_max:
-        raise EnumerationError(
-            f"completeness violated: excluded channel floor {certificate['excluded_floor']}"
-            f" <= lam_max {lam_max}"
-        )
     return problems, certificate

@@ -71,7 +71,7 @@ def _mode_eigs(profile: Profile, n: int, mu_sq: float, lam_max: float, h: float)
     rows = pts[:, :, None].repeat(3, axis=2).ravel()
     cols = pts[:, None, :].repeat(3, axis=1).ravel()
     K, M = band_assemble(rows, cols, npts, 2, ke.ravel(), me.ravel())
-    return solve_pencil(K, M, lam_max)[0]
+    return solve_pencil(K, M, lam_max)
 
 
 def sturm_liouville_oracle(profile: Profile, n: int, lam_max: float, h: float = 0.02) -> np.ndarray:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as splinalg
 
 from conesum import geometry as geo
 from conesum.analysis import (
@@ -18,6 +19,7 @@ from conesum.analysis import (
 )
 from conesum.errors import DomainError, ZeroModeMismatchError
 from conesum.geometry import connected_sum_profile, cover_profiles, spindle, truncated_spindle
+from conesum.radial import fem
 from conesum.radial.fem import MeshSpec
 from conesum.radial.problems import degree_problems
 from conesum.radial.sturm import sturm_liouville_oracle
@@ -359,6 +361,29 @@ def test_sweep_parallel_matches_serial(small_sweep):
     a = [(r.eps, r.degree, r.k, r.lam_eps, r.bord_ratio) for r in small_sweep.rows]
     b = [(r.eps, r.degree, r.k, r.lam_eps, r.bord_ratio) for r in rep2.rows]
     assert a == b
+    # the pool workers compute the diagnostics
+    assert rep2.diagnostics == small_sweep.diagnostics
+
+
+def test_sweep_computes_only_the_tracked_eigenforms(monkeypatch):
+    # ARPACK returns values only; an eigenform comes from inverse iteration,
+    # and only for a tracked row's eigenvalue
+    eigsh, solve = splinalg.eigsh, fem.inverse_iteration
+    vector_calls, eigenforms = [], []
+
+    def spy_eigsh(*args, **kwargs):
+        vector_calls.append(kwargs.get("return_eigenvectors", True))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(splinalg, "eigsh", spy_eigsh)
+    monkeypatch.setattr(fem, "inverse_iteration", lambda *a: eigenforms.append(a[-1]) or solve(*a))
+    rep = sweep_epsilon(
+        m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0, 1],
+        epsilons=[0.2, 0.1], lam_max=20.0, k_track=2, mesh=MESH,
+    )
+    assert vector_calls and not any(vector_calls)
+    assert 0 < len(eigenforms) <= 2 * 2 * 2
+    assert all(d is not None for diags in rep.diagnostics.values() for d in diags)
 
 
 def test_sweep_rejects_unsorted_epsilons():

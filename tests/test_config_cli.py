@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -30,6 +31,11 @@ def test_defaults_validate():
     assert cfg.m1().r_max == 1.0
     assert cfg.m2().start_radius == 1.0
     assert len(cfg.hash()) == 16
+
+
+def test_schema_is_a_valid_draft_2020_12_schema():
+    # load_config validates with a validator built once, without this check
+    jsonschema.Draft202012Validator.check_schema(SCHEMA)
 
 
 def test_schema_rejections(tmp_path):

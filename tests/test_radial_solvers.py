@@ -18,6 +18,7 @@ from conesum.radial.fem import (
     _check_resolution,
     band_to_sparse,
     fem_spectrum,
+    inverse_iteration,
     make_mesh,
     refine_mesh,
     single_mesh_eigenvalues,
@@ -520,22 +521,42 @@ def test_solve_pencil_matches_dense(case):
     expected = scipy.linalg.eigh(Kd, Md, eigvals_only=True)
     expected = expected[expected < cap]
     assert len(expected) >= 2
-    vals, vecs = solve_pencil(K, M, cap)
-    assert vecs is None
+    vals = solve_pencil(K, M, cap)
     assert len(vals) == len(expected)
     assert vals == pytest.approx(expected, rel=1e-10, abs=1e-10)
-    vals, vecs = solve_pencil(K, M, cap, want_vectors=True)
-    assert vals == pytest.approx(expected, rel=1e-10, abs=1e-10)
+    vecs = np.column_stack([inverse_iteration(K, M, vals, cap, i) for i in range(len(vals))])
     assert vecs.T @ (Md @ vecs) == pytest.approx(np.eye(len(vals)), abs=1e-10)
     assert Kd @ vecs == pytest.approx(Md @ vecs * vals, abs=1e-8 * max(vals.max(), 1.0))
 
 
 def test_solve_pencil_empty_below_first_eigenvalue():
     K, M = band_pencil(*PENCILS["tip_scalar"])
-    first = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)[0]
-    vals, vecs = solve_pencil(K, M, 0.5 * first, want_vectors=True)
-    assert vals.shape == (0,)
-    assert vecs.shape == (K.shape[1], 0)
+    Kd, Md = dense(K), dense(M)
+    eigs = scipy.linalg.eigh(Kd, Md, eigvals_only=True)
+    assert solve_pencil(K, M, 0.5 * eigs[0]).shape == (0,)
+    # one value below the cap has its eigenvector, unless the cap lies too
+    # close to it to tell the next value apart
+    cap = 0.5 * (eigs[0] + eigs[1])
+    vals = solve_pencil(K, M, cap)
+    x = inverse_iteration(K, M, vals, cap, 0)
+    assert x @ Md @ x == pytest.approx(1.0, abs=1e-10)
+    assert Kd @ x == pytest.approx(Md @ x * vals[0], abs=1e-8 * max(vals[0], 1.0))
+    with pytest.raises(ConvergenceError, match="not simple"):
+        inverse_iteration(K, M, vals, vals[0] * (1.0 + 1e-7), 0)
+
+
+def test_inverse_iteration_rejects_a_double_eigenvalue():
+    # two identical uncoupled blocks: every eigenvalue is exactly double, so
+    # no eigenvector is determined; the dense values stand in for solve_pencil's
+    K, M = band_pencil(*PENCILS["tip_scalar"])
+    K2, M2 = np.hstack([K, K]), np.hstack([M, M])
+    eigs = scipy.linalg.eigh(dense(K2), dense(M2), eigvals_only=True)
+    cap = 51.0
+    vals = eigs[eigs < cap]
+    assert len(vals) >= 4 and vals[1] - vals[0] < 1e-10 * vals[0]
+    for i in range(len(vals)):
+        with pytest.raises(ConvergenceError, match="not simple"):
+            inverse_iteration(K2, M2, vals, cap, i)
 
 
 def test_solve_pencil_rejects_a_cap_above_all_but_one_eigenvalue():
@@ -628,7 +649,7 @@ def test_solve_pencil_matches_dense_on_random_profiles(profile, data):
     # has double eigenvalues a few 1e-12 apart, and zero modes cluster at 0
     while k < len(eigs) - 2 and eigs[k] - eigs[k - 1] <= 1e-8 * max(abs(eigs[k]), 1.0):
         k += 1
-    vals, _ = solve_pencil(K, M, 0.5 * (eigs[k - 1] + eigs[k]))
+    vals = solve_pencil(K, M, 0.5 * (eigs[k - 1] + eigs[k]))
     assert len(vals) == k
     assert vals == pytest.approx(eigs[:k], rel=1e-9, abs=1e-9)
 
