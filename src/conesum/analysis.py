@@ -5,8 +5,8 @@ one spectrum with sphere multiplicities, certifying that every channel that
 could contribute below the cutoff was enumerated, and counting zero modes
 both analytically (harmonic matching systems) and numerically.
 
-sweep_epsilon runs the collapse experiment: spectra of the connected sum for
-a decreasing list of eps against the big summand's spectrum, the one-sided
+sweep_epsilon runs the collapse experiment: the k lowest eigenvalues of the
+connected sum for a decreasing list of eps against the big summand's, the one-sided
 upper-bound check, the Mayer-Vietoris lower bound for the first positive
 eigenvalue (McGowan), constancy of the zero-mode counts, and the boundary
 control of the tracked eigenfunctions at the gluing radius.
@@ -29,7 +29,7 @@ from .geometry import Profile, SeamKind, connected_sum_profile, cover_profiles
 from .radial.fem import FemField, MeshSpec, coarse_count, fem_spectrum
 from .radial.firstorder import first_order_kernel
 from .radial.problems import ChannelProblem, Eigenvalue, EigList, degree_problems, sort_eigenvalues
-from .radial.transfer import transfer_spectrum
+from .radial.transfer import eigen_count, transfer_spectrum
 
 ZERO_GAP = 1e-5  # FEM's gap between zero modes and the first positive, and to the next
 CROSS_RTOL = 1e-6  # FEM against secular eigenvalues with method="both"
@@ -41,7 +41,8 @@ FIRST_EXACT_BOUND = 25.0  # first_positive_exact's initial enumeration bound at 
 
 @dataclass(eq=False)
 class SpectrumResult:
-    """Assembled spectrum of the degree-p Hodge Laplacian on one profile."""
+    """Assembled spectrum of the degree-p Hodge Laplacian on one profile,
+    complete below ``lam_max``."""
 
     profile: Profile
     n: int
@@ -66,12 +67,20 @@ class SpectrumResult:
         multiplicity) and the eigenvalue's index within its channel problem."""
         if k < 1:
             raise DomainError("k is 1-based")
-        seen = 0
-        for e in sort_eigenvalues([e for e in self.entries if e.value > 0.0]):
-            seen += e.multiplicity
-            if seen >= k:
-                return e, e.index
-        raise DomainError(f"fewer than {k} positive eigenvalues below lam_max={self.lam_max}")
+        e = _kth_positive(self.entries, k)
+        if e is None:
+            raise DomainError(f"fewer than {k} positive eigenvalues below lam_max={self.lam_max}")
+        return e, e.index
+
+
+def _kth_positive(entries: list[Eigenvalue], k: int) -> Eigenvalue | None:
+    """The entry carrying the k-th positive eigenvalue, counted with multiplicity, if any."""
+    seen = 0
+    for e in sort_eigenvalues([e for e in entries if e.value > 0.0]):
+        seen += e.multiplicity
+        if seen >= k:
+            return e
+    return None
 
 
 def assemble_spectrum(
@@ -107,54 +116,115 @@ def assemble_spectrum(
     since its slots do not carry its spectrum there; with it, only the APS
     ends raise (``ChannelProblem.endpoint``).
     """
+    cache = _slot_cache if _slot_cache is not None else {}
+    return _degree_spectrum(profile, n, p, lam_max, None, method, mesh or MeshSpec(), want_fields, cache)
+
+
+def _degree_spectrum(
+    profile: Profile,
+    n: int,
+    p: int,
+    lam_max: float,
+    k: int | None,
+    method: str,
+    mesh: MeshSpec,
+    want_fields: bool,
+    cache: dict,
+) -> SpectrumResult:
+    """Zero modes and positive eigenvalues of degree p below lam_max, or with
+    k only the k lowest positive ones (with multiplicity), channel by channel.
+
+    The channels of degree_problems(profile, n, p, lam_max) are visited in
+    increasing order of their least potential eigenvalue.  Each is solved
+    (``_channel_spectrum``) up to lam*: lam_max, or with k the k-th positive
+    value found so far once k are found.  Once lam* < lam_max, a channel is
+    skipped without an eigensolve when counts show it has no positive
+    eigenvalue below lam* (``_empty_below``); no channel is excluded by its
+    bound c / R_max^2 beyond what degree_problems excludes.  Caps only fall,
+    so no channel holds an eigenvalue up to the final lam* beyond those
+    found.  The result keeps the zero modes and the entries up to lam* and
+    reports lam_max = lam*; its certificate adds "k" and "lam_star".
+    """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
-    mesh = mesh or MeshSpec()
     problems, certificate = degree_problems(profile, n, p, lam_max)
-    cache = _slot_cache if _slot_cache is not None else {}
-
+    lam_star = lam_max
     entries: list[Eigenvalue] = []
     fields: dict = {}
-    zero_count = 0
-    for prob in problems:
-        kernel_dim = first_order_kernel(prob).dim
-        zero_count += kernel_dim * prob.multiplicity
-        if want_fields and method != "secular":
-            fem_list = fem_spectrum(prob, mesh, lam_max, want_vectors=True)
-            pos_entries = _positive_entries(prob, fem_list, kernel_dim, lam_max)
-            if method == "both":
-                fem_vals = [e.value for e in pos_entries]
-                _cross_validate(prob, fem_vals, transfer_spectrum(prob, lam_max).values())
-            for e, fld in zip(fem_list.entries, fem_list.meta["fields"]):
-                fields[(prob.label, e.index)] = fld
-        else:
-            slot_entries = sort_eigenvalues(
-                [
-                    e
-                    for slot in prob.slot_problems()
-                    for e in _slot_spectrum(slot, lam_max, method, mesh, cache)
-                ]
-            )
-            # ranks after the kernel, as FEM indexes the channel's own spectrum
-            pos_entries = [
-                Eigenvalue(value=e.value, problem=prob, index=kernel_dim + i, method=e.method, error=e.error)
-                for i, e in enumerate(slot_entries)
-            ]
-        entries.extend(pos_entries)
-        entries.extend(
-            Eigenvalue(value=0.0, problem=prob, index=i, method="exact") for i in range(kernel_dim)
-        )
+    for prob in sorted(problems, key=ChannelProblem.min_potential):
+        zeros = _zero_modes(prob)
+        entries += zeros
+        if lam_star < lam_max and _empty_below(prob, len(zeros), lam_star, method, mesh, want_fields):
+            continue
+        entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache, fields)
+        kth = _kth_positive(entries, k) if k else None
+        lam_star = kth.value if kth is not None else lam_max
+    kept = sort_eigenvalues([e for e in entries if e.value <= lam_star])
+    keys = {(e.problem.label, e.index) for e in kept}
     return SpectrumResult(
         profile=profile,
         n=n,
         degree=p,
-        lam_max=lam_max,
-        entries=sort_eigenvalues(entries),
-        zero_count=zero_count,
-        certificate=certificate,
+        lam_max=lam_star,
+        entries=kept,
+        zero_count=sum(e.multiplicity for e in kept if e.method == "exact"),
+        certificate={**certificate, "k": k, "lam_star": lam_star},
         method=method,
-        fields=fields,
+        fields={key: fld for key, fld in fields.items() if key in keys},
     )
+
+
+def _zero_modes(prob: ChannelProblem) -> list[Eigenvalue]:
+    """The channel's zero modes, counted by its harmonic matching system."""
+    return [Eigenvalue(value=0.0, problem=prob, index=i, method="exact") for i in range(first_order_kernel(prob).dim)]
+
+
+def _channel_spectrum(
+    prob: ChannelProblem,
+    kernel_dim: int,
+    cap: float,
+    method: str,
+    mesh: MeshSpec,
+    want_fields: bool,
+    cache: dict,
+    fields: dict,
+) -> list[Eigenvalue]:
+    """Positive eigenvalues up to cap of one channel, indexed after its kernel.
+
+    With ``want_fields`` and FEM the channel is solved as such and its
+    fields go into ``fields``; otherwise its slots are (``_slot_spectrum``).
+    """
+    if want_fields and method != "secular":
+        fem_list = fem_spectrum(prob, mesh, cap, want_vectors=True)
+        pos_entries = _positive_entries(prob, fem_list, kernel_dim, cap)
+        if method == "both":
+            _cross_validate(prob, [e.value for e in pos_entries], transfer_spectrum(prob, cap).values())
+        fields.update(((prob.label, e.index), fld) for e, fld in zip(fem_list.entries, fem_list.meta["fields"]))
+        return pos_entries
+    slot_entries = sort_eigenvalues(
+        [e for slot in prob.slot_problems() for e in _slot_spectrum(slot, cap, method, mesh, cache)]
+    )
+    # ranks after the kernel, as FEM indexes the channel's own spectrum
+    return [
+        Eigenvalue(value=e.value, problem=prob, index=kernel_dim + i, method=e.method, error=e.error)
+        for i, e in enumerate(slot_entries)
+    ]
+
+
+def _empty_below(prob: ChannelProblem, kernel_dim: int, cap: float, method: str, mesh: MeshSpec, want_fields: bool):
+    """Whether counts show no positive eigenvalue of the channel below cap.
+
+    With method="secular", each slot's Sturm count ``eigen_count`` at cap
+    must equal the slot's kernel dimension.  Otherwise the channel must
+    have no zero mode, so that FEM's gap check runs wherever one is, and
+    each problem ``_channel_spectrum`` would give FEM (the channel with
+    ``want_fields``, else its slots) must have no coarse eigenvalue below
+    fem_spectrum's cap for cap (``coarse_count``), so FEM returns none.
+    """
+    if method == "secular":
+        return all(eigen_count(slot, cap) == first_order_kernel(slot).dim for slot in prob.slot_problems())
+    solved = (prob,) if want_fields else prob.slot_problems()
+    return kernel_dim == 0 and all(coarse_count(pr, mesh, cap) == 0 for pr in solved)
 
 
 def _slot_spectrum(
@@ -505,14 +575,16 @@ class SweepReport:
 
 def _sweep_one_eps(args: tuple) -> tuple:
     """McGowan reports, M_eps spectra and the boundary diagnostics of each
-    degree's k_track lowest positive eigenvalues at one eps; the spectra
-    return without fields, so their pencils end with the task."""
+    degree's k_track lowest positive eigenvalues at one eps.  Each degree's
+    spectrum is the search ``_degree_spectrum`` for those k_track values,
+    with fields; the spectra return without fields, so their pencils end
+    with the task."""
     (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, cache) = args
     m_eps = connected_sum_profile(m1, m2, eps)
     mcg = {p: mcgowan_report(m_eps, n, p, eps, mesh, cache) for p in range(1, n + 1)}
     spectra, diagnostics = {}, {}
     for p in degrees:
-        res = assemble_spectrum(m_eps, n, p, lam_max, method, mesh, want_fields=True)
+        res = _degree_spectrum(m_eps, n, p, lam_max, k_track, method, mesh, True, {})
         diagnostics[p] = []
         for k in range(1, k_track + 1):
             entry, idx = res.positive_entry(k)
@@ -537,10 +609,13 @@ def sweep_epsilon(
 ) -> SweepReport:
     """Collapse experiment: spectra of M_eps against M1 over a decreasing eps list.
 
-    ``method`` and ``mesh`` go to both assemble_spectrum calls, the M1
-    reference and each M_eps.  The McGowan bounds, for p = 1..n, come from
-    mcgowan_report.  The report's checks use TAKA_MARGIN and FINAL_REL_TOL
-    at the last eps.
+    The rows report the k_track lowest positive eigenvalues of each degree,
+    so neither M1 nor any M_eps is solved up to lam_max: ``_degree_spectrum``
+    solves, per degree, only the channels that can hold one of them, as
+    assemble_spectrum solves them (M1 through one slot cache, each M_eps
+    with fields).  ``method`` and ``mesh`` go to both.  The McGowan bounds,
+    for p = 1..n, come from mcgowan_report.  The report's checks use
+    TAKA_MARGIN and FINAL_REL_TOL at the last eps.
 
     With jobs > 1 the per-epsilon work runs in a process pool; every task is a
     pure function, so the aggregated report is identical for any job count.
@@ -554,7 +629,7 @@ def sweep_epsilon(
     zero_counts: dict = {}
 
     slot_cache: dict = {}
-    ref = {p: assemble_spectrum(m1, n, p, lam_max, method, mesh, _slot_cache=slot_cache) for p in degrees}
+    ref = {p: _degree_spectrum(m1, n, p, lam_max, k_track, method, mesh, False, slot_cache) for p in degrees}
 
     # unit-scale cover pieces are eps-independent: fill the cache once
     unit_cache: dict = {}

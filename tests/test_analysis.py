@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg as splinalg
 
+from conesum import analysis
 from conesum import geometry as geo
 from conesum.analysis import (
+    _degree_spectrum,
     assemble_spectrum,
     boundary_diagnostics,
     exact_form_spectrum,
@@ -384,6 +386,73 @@ def test_sweep_computes_only_the_tracked_eigenforms(monkeypatch):
     assert vector_calls and not any(vector_calls)
     assert 0 < len(eigenforms) <= 2 * 2 * 2
     assert all(d is not None for diags in rep.diagnostics.values() for d in diags)
+
+
+def test_k_lowest_search_keeps_only_complete_values():
+    # the search's result ends at lam*, its k-th positive value: every value
+    # it holds is the full spectrum's, and past them it raises
+    m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
+    for p in (0, 1):
+        full = assemble_spectrum(m_eps, 2, p, 40.0, mesh=MESH)
+        part = _degree_spectrum(m_eps, 2, p, 40.0, 3, "fem", MESH, False, {})
+        vals, whole = part.positive_values(), full.positive_values()
+        assert part.lam_max == part.certificate["lam_star"] == vals[2]
+        assert part.certificate["k"] == 3 and part.zero_count == full.zero_count
+        assert vals == pytest.approx(whole[: len(vals)], rel=1e-10)
+        assert vals[-1] == part.lam_max < whole[len(vals)]
+        with pytest.raises(DomainError, match=f"fewer than {len(vals) + 1} positive eigenvalues"):
+            part.positive_entry(len(vals) + 1)
+
+
+def test_sweep_solves_or_counts_every_channel(monkeypatch):
+    # every channel of M1 (solved through its slots) and of each M_eps
+    # (solved as such, with fields) is either solved or inertia-counted,
+    # and only the channels that can hold a tracked value are solved
+    solved, counted = [], []
+    fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
+    monkeypatch.setattr(analysis, "fem_spectrum", lambda pr, *a, **kw: solved.append(pr) or fem_spectrum(pr, *a, **kw))
+    monkeypatch.setattr(analysis, "coarse_count", lambda pr, *a: counted.append(pr) or coarse_count(pr, *a))
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    sweep_epsilon(m1=m1, m2=m2, n=2, degrees=[0, 1], epsilons=[0.2, 0.1], lam_max=40.0, k_track=3, mesh=MESH)
+    solved_keys = {(pr.profile, pr.label) for pr in solved}
+    counted_keys = {(pr.profile, pr.label) for pr in counted}
+    searched = [(m1, False)] + [(connected_sum_profile(m1, m2, eps), True) for eps in (0.2, 0.1)]
+    for profile, with_fields in searched:
+        for p in (0, 1):
+            for prob in degree_problems(profile, 2, p, 40.0)[0]:
+                units = {(u.profile, u.label) for u in ((prob,) if with_fields else prob.slot_problems())}
+                assert units <= solved_keys or units <= counted_keys, (profile, prob.label)
+    # the full spectra below lam_max took 55 calls
+    assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 11
+
+
+def test_secular_sweep_matches_the_full_spectra(monkeypatch):
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    rep = sweep_epsilon(
+        m1=m1, m2=m2, n=2, degrees=[0, 1], epsilons=[0.2, 0.1], lam_max=20.0, k_track=2, mesh=MESH,
+        method="secular",
+    )
+    ref = {p: assemble_spectrum(m1, 2, p, 20.0, method="secular").positive_values() for p in (0, 1)}
+    assert len(rep.rows) == 2 * 2 * 2
+    for r in rep.rows:
+        full = assemble_spectrum(connected_sum_profile(m1, m2, r.eps), 2, r.degree, 20.0, method="secular")
+        assert r.lam_eps == pytest.approx(full.positive_values()[r.k - 1], rel=1e-10)
+        assert r.lam_m1 == pytest.approx(ref[r.degree][r.k - 1], rel=1e-10)
+        assert r.zero_count == full.zero_count and math.isnan(r.bord_ratio)
+    # the secular search counts by Sturm, not by a FEM pencil
+    monkeypatch.setattr(fem, "_assemble", lambda *a: pytest.fail("FEM pencil assembled"))
+    m_eps = connected_sum_profile(m1, m2, 0.1)
+    for with_fields in (False, True):
+        assert len(_degree_spectrum(m_eps, 2, 1, 20.0, 2, "secular", MESH, with_fields, {}).positive_values()) >= 2
+
+
+def test_sweep_rejects_a_k_track_beyond_the_spectrum():
+    # 4 positive eigenvalues of M1 and of M_eps lie below 10 on functions
+    with pytest.raises(DomainError, match=r"fewer than 5 positive eigenvalues below lam_max=10.0"):
+        sweep_epsilon(
+            m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0],
+            epsilons=[0.2], lam_max=10.0, k_track=40, mesh=MESH,
+        )
 
 
 def test_sweep_rejects_unsorted_epsilons():
