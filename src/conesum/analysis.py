@@ -134,16 +134,17 @@ def _degree_spectrum(
     """Zero modes and positive eigenvalues of degree p below lam_max, or with
     k only the k lowest positive ones (with multiplicity), channel by channel.
 
-    The channels of degree_problems(profile, n, p, lam_max) are visited in
-    increasing order of their least potential eigenvalue.  Each is solved
+    Each channel of degree_problems(profile, n, p, lam_max) is solved
     (``_channel_spectrum``) up to lam*: lam_max, or with k the k-th positive
-    value found so far once k are found.  Once lam* < lam_max, a channel is
-    skipped without an eigensolve when counts show it has no positive
-    eigenvalue below lam* (``_empty_below``); no channel is excluded by its
-    bound c / R_max^2 beyond what degree_problems excludes.  Caps only fall,
-    so no channel holds an eigenvalue up to the final lam* beyond those
-    found.  The result keeps the zero modes and the entries up to lam* and
-    reports lam_max = lam*; its certificate adds "k" and "lam_star".
+    value found so far once k are found.  With k the channels are visited in
+    increasing order of their least potential eigenvalue, and once lam* <
+    lam_max a channel is skipped without an eigensolve when counts show FEM
+    would find nothing below lam* (``_empty_below``).  With method="secular"
+    no channel is skipped: transfer_spectrum's own Sturm count ends an empty
+    one.  No channel is excluded by its bound c / R_max^2 beyond what
+    degree_problems excludes.  Caps only fall, so no channel holds an
+    eigenvalue up to the final lam* beyond those found.  The result keeps
+    the zero modes and the entries up to lam* and reports lam_max = lam*.
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
@@ -151,10 +152,11 @@ def _degree_spectrum(
     lam_star = lam_max
     entries: list[Eigenvalue] = []
     fields: dict = {}
-    for prob in sorted(problems, key=ChannelProblem.min_potential):
+    for prob in sorted(problems, key=ChannelProblem.min_potential) if k else problems:
         zeros = _zero_modes(prob)
         entries += zeros
-        if lam_star < lam_max and _empty_below(prob, len(zeros), lam_star, method, mesh, want_fields):
+        counted = lam_star < lam_max and method != "secular"
+        if counted and _empty_below(prob, len(zeros), lam_star, method, mesh, want_fields):
             continue
         entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache, fields)
         kth = _kth_positive(entries, k) if k else None
@@ -168,7 +170,7 @@ def _degree_spectrum(
         lam_max=lam_star,
         entries=kept,
         zero_count=sum(e.multiplicity for e in kept if e.method == "exact"),
-        certificate={**certificate, "k": k, "lam_star": lam_star},
+        certificate=certificate,
         method=method,
         fields={key: fld for key, fld in fields.items() if key in keys},
     )
@@ -212,19 +214,23 @@ def _channel_spectrum(
 
 
 def _empty_below(prob: ChannelProblem, kernel_dim: int, cap: float, method: str, mesh: MeshSpec, want_fields: bool):
-    """Whether counts show no positive eigenvalue of the channel below cap.
+    """Whether counts show that FEM would find no positive eigenvalue of the
+    channel below cap.
 
-    With method="secular", each slot's Sturm count ``eigen_count`` at cap
-    must equal the slot's kernel dimension.  Otherwise the channel must
-    have no zero mode, so that FEM's gap check runs wherever one is, and
-    each problem ``_channel_spectrum`` would give FEM (the channel with
-    ``want_fields``, else its slots) must have no coarse eigenvalue below
-    fem_spectrum's cap for cap (``coarse_count``), so FEM returns none.
+    The channel must have no zero mode, so that FEM's gap check runs
+    wherever one is, and each problem ``_channel_spectrum`` would give FEM
+    (the channel with ``want_fields``, else its slots) must have no coarse
+    eigenvalue below fem_spectrum's cap for cap (``coarse_count``).  With
+    method="both" the secular solver must agree: each slot's Sturm count
+    ``eigen_count`` at cap is its kernel dimension, else the channel is
+    solved and cross-validated.
     """
-    if method == "secular":
-        return all(eigen_count(slot, cap) == first_order_kernel(slot).dim for slot in prob.slot_problems())
     solved = (prob,) if want_fields else prob.slot_problems()
-    return kernel_dim == 0 and all(coarse_count(pr, mesh, cap) == 0 for pr in solved)
+    return (
+        kernel_dim == 0
+        and all(coarse_count(pr, mesh, cap) == 0 for pr in solved)
+        and (method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in prob.slot_problems()))
+    )
 
 
 def _slot_spectrum(

@@ -19,11 +19,11 @@ from conesum.analysis import (
     xi_eps,
     xi_one,
 )
-from conesum.errors import DomainError, ZeroModeMismatchError
+from conesum.errors import DomainError, SolverDisagreementError, ZeroModeMismatchError
 from conesum.geometry import connected_sum_profile, cover_profiles, spindle, truncated_spindle
 from conesum.radial import fem
 from conesum.radial.fem import MeshSpec
-from conesum.radial.problems import degree_problems
+from conesum.radial.problems import EigList, degree_problems
 from conesum.radial.sturm import sturm_liouville_oracle
 
 MESH = MeshSpec(h=0.02)
@@ -396,8 +396,7 @@ def test_k_lowest_search_keeps_only_complete_values():
         full = assemble_spectrum(m_eps, 2, p, 40.0, mesh=MESH)
         part = _degree_spectrum(m_eps, 2, p, 40.0, 3, "fem", MESH, False, {})
         vals, whole = part.positive_values(), full.positive_values()
-        assert part.lam_max == part.certificate["lam_star"] == vals[2]
-        assert part.certificate["k"] == 3 and part.zero_count == full.zero_count
+        assert part.lam_max == vals[2] and part.zero_count == full.zero_count
         assert vals == pytest.approx(whole[: len(vals)], rel=1e-10)
         assert vals[-1] == part.lam_max < whole[len(vals)]
         with pytest.raises(DomainError, match=f"fewer than {len(vals) + 1} positive eigenvalues"):
@@ -424,6 +423,24 @@ def test_sweep_solves_or_counts_every_channel(monkeypatch):
                 assert units <= solved_keys or units <= counted_keys, (profile, prob.label)
     # the full spectra below lam_max took 55 calls
     assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 11
+
+
+def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
+    # FEM, coarse counts included, sees nothing past the lowest channel;
+    # the Sturm counts see values below lam*, so those channels are solved
+    # and the solvers' disagreement is reported, not skipped
+    m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
+    first = min(degree_problems(m_eps, 2, 0, 40.0)[0], key=lambda pr: pr.min_potential()).label
+    fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
+
+    def missed(pr, *a, **kw):
+        return fem_spectrum(pr, *a, **kw) if pr.label == first else EigList(entries=[], meta={"fields": []})
+
+    monkeypatch.setattr(analysis, "fem_spectrum", missed)
+    monkeypatch.setattr(analysis, "coarse_count", lambda pr, *a: coarse_count(pr, *a) if pr.label == first else 0)
+    assert _degree_spectrum(m_eps, 2, 0, 40.0, 3, "fem", MESH, True, {}).positive_values().size == 3
+    with pytest.raises(SolverDisagreementError, match="secular found [1-9]"):
+        _degree_spectrum(m_eps, 2, 0, 40.0, 3, "both", MESH, True, {})
 
 
 def test_secular_sweep_matches_the_full_spectra(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from conesum import geometry as geo
 from conesum.cone_operator import Family
-from conesum.errors import ConvergenceError, DomainError
+from conesum.errors import ConvergenceError, DomainError, ZeroModeMismatchError
 from conesum.geometry import BCKind, split_segment
 from conesum.radial import sturm
 from conesum.radial.fem import (
@@ -397,6 +397,25 @@ def test_fem_converges_on_a_scaled_thin_neck():
     assert assemble_spectrum(neck.scaled(0.5), 2, 1, 15.0 / 0.5**2, mesh=MESH.scaled(0.5)).zero_count == 0
 
 
+@pytest.mark.xfail(strict=True, raises=ZeroModeMismatchError, reason="elements near a small radius do not shrink with h")
+def test_fem_zero_mode_on_a_thin_neck_at_n3():
+    # a draw of test_k_lowest_search_matches_the_full_spectrum_on_random_profiles:
+    # the neck of radius 0.0725 holds a true eigenvalue 1.168e-3 (secular),
+    # and FEM's zero mode of p3:n3:q3:kH:exceptional at 1.6e-6 leaves no gap
+    from conesum.analysis import assemble_spectrum
+
+    neck = mirrored(geo.Profile(
+        segments=(
+            geo.Segment(0.072509765625, 0.34375, -1),
+            geo.Segment(0.072509765625, 1.072509765625, 1),
+            geo.Segment(1.072509765625, 2.072509765625, 1),
+        ),
+        start_bc=BCKind.ABSOLUTE,
+        end_bc=BCKind.ABSOLUTE,
+    ))
+    assert assemble_spectrum(neck, 3, 3, 15.0, mesh=MeshSpec(h=0.1)).zero_count == 1
+
+
 def test_fem_refinement_ratio():
     # smooth channel: quadratic elements gain ~2^4 per uniform refinement
     prob = find_problem(geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), 2, 1, "q1:k1:minus")
@@ -727,6 +746,8 @@ def test_assembled_spectrum_scales_exactly_on_random_profiles(profile, n, c, dat
 def test_k_lowest_search_matches_the_full_spectrum_on_random_profiles(profile, n, k, data):
     # the sweep's search for the k lowest positive eigenvalues gives the
     # first k entries of the full spectrum: values, channels and indices
+    # (draws where FEM fails near a small radius are discarded:
+    # test_fem_zero_mode_on_a_thin_neck_at_n3 pins one)
     from conesum.analysis import _degree_spectrum, assemble_spectrum
 
     p = data.draw(st.integers(0, n + 1))
@@ -734,7 +755,7 @@ def test_k_lowest_search_matches_the_full_spectrum_on_random_profiles(profile, n
     for with_fields in (False, True):
         try:
             full = assemble_spectrum(profile, n, p, 15.0, mesh=mesh, want_fields=with_fields)
-        except ConvergenceError:
+        except (ConvergenceError, ZeroModeMismatchError):
             reject()
         part = _degree_spectrum(profile, n, p, 15.0, k, "fem", mesh, with_fields, {})
         assert part.zero_count == full.zero_count
