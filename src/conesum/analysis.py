@@ -98,9 +98,10 @@ def assemble_spectrum(
     Eigenvalues come from the scalar slot problems of each channel
     (``ChannelProblem.slot_problems``): a coupled PLUS_HALF problem in degree
     q+1 has the positive spectrum of its alpha slot (degree q) and its beta
-    slot (degree q+2).  Each slot is solved once per ``_slot_cache`` and
-    looked up afterwards, so callers looping over degrees pass one dict;
-    with method="both" each slot's FEM eigenvalues are checked once against
+    slot (degree q+2).  Each distinct radial ODE (``ChannelProblem.ode_key``)
+    is solved once per ``_slot_cache`` and looked up afterwards, so callers
+    looping over degrees pass one dict and dual degrees share its solves;
+    with method="both" each ODE's FEM eigenvalues are checked once against
     the secular solver (equal counts, agreement to CROSS_RTOL, else
     SolverDisagreementError).  Zero modes are counted analytically from the
     harmonic matching systems; FEM's first that many eigenvalues per slot
@@ -240,23 +241,31 @@ def _slot_spectrum(
     mesh: MeshSpec,
     cache: dict,
 ) -> list[Eigenvalue]:
-    """Positive eigenvalues of one scalar slot problem, solved once per cache.
+    """Positive eigenvalues of one scalar slot problem, solved once per
+    distinct radial ODE in the cache.
 
-    The key holds the slot's label, which adds its degree to its block's
-    label: that fixes the slot of a MINUS_HALF block and tells apart the two
-    exceptional blocks of a harmonic sphere mode, which share a block label.
+    The key is the slot's ``ode_key``, so slots of different labels that are
+    one ODE (Hodge-dual slots of a closed profile, for one) share a solve,
+    and with method="both" its cross-check; the entries keep the slot first
+    solved as their problem.  A hit whose slot has another kernel dimension
+    than the one solved raises ZeroModeMismatchError.
     """
-    key = (slot.profile, slot.label, lam_max, method, mesh)
+    key = (slot.ode_key, lam_max, method, mesh)
+    kernel_dim = first_order_kernel(slot).dim
     if key not in cache:
         if method == "secular":
-            cache[key] = transfer_spectrum(slot, lam_max).entries
+            pos = transfer_spectrum(slot, lam_max).entries
         else:
-            fem_list = fem_spectrum(slot, mesh, lam_max)
-            pos = _positive_entries(slot, fem_list, first_order_kernel(slot).dim, lam_max)
+            pos = _positive_entries(slot, fem_spectrum(slot, mesh, lam_max), kernel_dim, lam_max)
             if method == "both":
                 _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values())
-            cache[key] = pos
-    return cache[key]
+        cache[key] = (slot.label, kernel_dim, pos)
+    label, solved_dim, pos = cache[key]
+    if solved_dim != kernel_dim:
+        raise ZeroModeMismatchError(
+            f"{slot.label} and {label} are one radial ODE but have kernel dimensions {kernel_dim} and {solved_dim}"
+        )
+    return pos
 
 
 def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, lam_max: float) -> list:
@@ -353,7 +362,8 @@ def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
     of its coarse pencil at fem_spectrum's cap for lam* (``coarse_count``)
     is its kernel dimension, else solved up to lam*.  Until a slot has a
     value, slots are solved up to the enumeration bound, FIRST_EXACT_BOUND
-    at unit radius, grown fourfold.  One ``_slot_cache`` solves a slot once per cap.
+    at unit radius, grown fourfold.  One ``_slot_cache`` solves each distinct
+    radial ODE once per cap.
     """
     mesh = mesh or MeshSpec()
     cache = _slot_cache if _slot_cache is not None else {}

@@ -83,6 +83,19 @@ class ChannelProblem:
             raise DomainError(f"{self.label} is coupled: solve its slot_problems() instead")
         return math.sqrt(float(self.potential[0, 0]) + 0.25)
 
+    @cached_property
+    def ode_key(self) -> tuple:
+        """Everything the solvers read from a scalar problem: its profile,
+        c = gamma (gamma + 1), its entry of A (which sets the seam terms and
+        the natural end term) and whether each end drops its dof.  Slots with
+        equal keys are one radial ODE, as are the Hodge-dual slots of a
+        closed profile.  A coupled problem raises DomainError.
+        """
+        if self.size != 1:
+            raise DomainError(f"{self.label} is coupled: it has no scalar ODE")
+        drops = (bool(self.endpoint(which).drop[0]) for which in ("start", "end"))
+        return (self.profile, float(self.potential[0, 0]), float(self.a_matrix[0, 0]), *drops)
+
     def slot_problems(self) -> tuple["ChannelProblem", ...]:
         """Scalar problems carrying the positive spectrum of this problem.
 

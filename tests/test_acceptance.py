@@ -293,6 +293,10 @@ def test_criterion_9_structural_symmetries(sweep, cross_validated):
 
     worst_dual = 0.0
     for prof in (m1(), geo.connected_sum_profile(m1(), m2(), 0.1)):
+        # no shared _slot_cache across degrees, on purpose, and it must stay
+        # so: dual slots of a closed profile share an ode_key, so a shared
+        # cache would solve them once and the duality defect would read 0
+        # whatever the solver does
         r = {p: assemble_spectrum(prof, 2, p, LAM_MAX, mesh=MESH) for p in range(4)}
         worst_dual = max(worst_dual, dual_defect(r[1], r[2]), dual_defect(r[0], r[3]))
         assert susy_holds(r[0], r[1])

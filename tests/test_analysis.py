@@ -111,34 +111,58 @@ def _entry_rows(res):
     return [(e.value, e.problem.label, e.index, e.multiplicity) for e in res.entries]
 
 
-def test_slot_cache_solves_each_slot_once(monkeypatch):
+def test_slot_cache_solves_each_distinct_ode_once(monkeypatch):
+    # the hodge benchmark's M_eps: its Hodge-dual slots are one radial ODE
+    # (drops at two tips, equal c and A), so 64 slot labels need 32 solves
     import conesum.analysis as analysis
 
     prof = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.025)
     degrees = range(5)
-    alone = {p: assemble_spectrum(prof, 3, p, 40.0, mesh=MESH) for p in degrees}
+    alone = {p: assemble_spectrum(prof, 3, p, 100.0, mesh=MESH) for p in degrees}
 
     solved = []
     real = analysis.fem_spectrum
 
     def counting(prob, *args, **kwargs):
-        solved.append((prob.label, prob.slot_indices))
+        solved.append(prob.ode_key)
         return real(prob, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "fem_spectrum", counting)
     cache: dict = {}
-    shared = {p: assemble_spectrum(prof, 3, p, 40.0, mesh=MESH, _slot_cache=cache) for p in degrees}
+    shared = {p: assemble_spectrum(prof, 3, p, 100.0, mesh=MESH, _slot_cache=cache) for p in degrees}
     for p in degrees:
         assert _entry_rows(shared[p]) == _entry_rows(alone[p]), p
         assert shared[p].zero_count == alone[p].zero_count
-    # one FEM solve per distinct scalar slot, none on a coupled problem
-    slots = {
-        (s.label, s.slot_indices)
-        for p in degrees
-        for prob in degree_problems(prof, 3, p, 40.0)[0]
-        for s in prob.slot_problems()
-    }
-    assert sorted(solved) == sorted(slots)
+    # one FEM solve per distinct scalar ODE, none on a coupled problem
+    slots = [s for p in degrees for prob in degree_problems(prof, 3, p, 100.0)[0] for s in prob.slot_problems()]
+    assert len({s.label for s in slots}) == 64
+    assert len(solved) == len(set(solved)) == 32
+    assert set(solved) == {s.ode_key for s in slots}
+
+
+def test_slot_cache_rejects_a_hit_with_another_kernel_dimension(monkeypatch):
+    # on the closed spindle the constants slot of degree 0 and the volume-form
+    # slot of degree 3 are one ODE; a cache hit must not hand one's spectrum
+    # to the other once their kernel dimensions differ
+    import dataclasses
+
+    import conesum.analysis as analysis
+
+    prof = spindle(1.0)
+    p0 = next(pr for pr in degree_problems(prof, 2, 0, 10.0)[0] if pr.block.mode.harmonic)
+    p3 = next(pr for pr in degree_problems(prof, 2, 3, 10.0)[0] if pr.block.mode.harmonic)
+    assert p0.ode_key == p3.ode_key and p0.label != p3.label
+    real = analysis.first_order_kernel
+
+    def one_more_on_p3(prob):
+        kernel = real(prob)
+        return dataclasses.replace(kernel, dim=kernel.dim + 1) if prob.label == p3.label else kernel
+
+    monkeypatch.setattr(analysis, "first_order_kernel", one_more_on_p3)
+    cache: dict = {}
+    assert analysis._slot_spectrum(p0, 10.0, "fem", MESH, cache)
+    with pytest.raises(ZeroModeMismatchError, match=f"{p3.label} and {p0.label} are one radial ODE"):
+        analysis._slot_spectrum(p3, 10.0, "fem", MESH, cache)
 
 
 def test_unit_cover_inputs_solve_each_slot_once(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import scipy.sparse
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from conesum import geometry as geo
-from conesum.cone_operator import Family
+from conesum.cone_operator import Family, enumerate_blocks
 from conesum.errors import ConvergenceError, DomainError, ZeroModeMismatchError
 from conesum.geometry import BCKind, split_segment
 from conesum.radial import sturm
@@ -827,11 +828,86 @@ def test_hodge_duality_on_random_closed_profiles(profile, n):
     # the Hodge star maps p-forms onto (n+1-p)-forms of a closed manifold
     from conesum.analysis import assemble_spectrum
 
+    # each degree is solved without a shared _slot_cache on purpose, and must
+    # stay so: a shared cache hands dual slots one solve (one ode_key), and
+    # the check would then test the cache key instead of the solver
     spectra = [assemble_spectrum(profile, n, p, 10.0, method="secular") for p in range(n + 2)]
     for p in range(n + 2):
         dual = spectra[n + 1 - p]
         assert spectra[p].zero_count == dual.zero_count, p
         assert spectra[p].positive_values() == pytest.approx(dual.positive_values(), rel=1e-10, abs=0), p
+
+
+def hodge_dual_block(blocks, block, p):
+    """The block holding the Hodge dual of ``block``'s degree-p slots: the
+    coexact q-forms of S^n at level k go to the exact (n-q)-forms d
+    (coexact (n-1-q)-forms) at the same level, the constants to the volume
+    form, and the total degree p to n+1-p."""
+    n, mode = block.n, block.mode
+    q = n - mode.q if mode.harmonic else n - 1 - mode.q
+    return next(
+        b for b in blocks
+        if b.family is block.family and (b.mode.q, b.mode.k) == (q, mode.k) and n + 1 - p in b.degrees
+    )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_hodge_dual_slots_have_equal_ode_data(n):
+    # the identity the slot cache key rests on: a degree-p slot and its dual
+    # degree-(n+1-p) slot have the same c and A entry, exactly, and the other
+    # slot type, so on a closed profile (every end drops every slot) they are
+    # one ODE; at absolute ends the drop swaps with the slot type
+    blocks = enumerate_blocks(n, 400.0)
+    closed, bounded = geo.spindle(1.0), geo.annulus(0.5, 1.0)
+    for block in blocks:
+        if block.family is Family.PLUS_HALF:
+            # both slots in degree q+1, the dual's in degree n-q, in swapped order
+            dual = hodge_dual_block(blocks, block, block.degrees[0])
+            assert dual.mode.multiplicity == block.mode.multiplicity, block.label
+            assert np.diag(dual.matrix).tolist() == np.diag(block.matrix)[::-1].tolist(), block.label
+            assert np.diag(dual.aa_matrix).tolist() == np.diag(block.aa_matrix)[::-1].tolist(), block.label
+            with pytest.raises(DomainError, match="coupled"):
+                ChannelProblem(closed, n, block.degrees[0], block, (0, 1), block.mode.multiplicity).ode_key
+            continue
+        for i, p in enumerate(block.degrees):
+            dual = hodge_dual_block(blocks, block, p)
+            assert dual.mode.multiplicity == block.mode.multiplicity, block.label
+            j = dual.degrees.index(n + 1 - p)
+            assert dual.slots[j] != block.slots[i], block.label
+            slot, dual_slot = (
+                ChannelProblem(closed, n, d, b, (k,), b.mode.multiplicity)
+                for d, b, k in ((p, block, i), (n + 1 - p, dual, j))
+            )
+            assert dual_slot.potential[0, 0] == slot.potential[0, 0], slot.label
+            assert dual_slot.a_matrix[0, 0] == slot.a_matrix[0, 0], slot.label
+            assert dual_slot.ode_key == slot.ode_key, slot.label
+            on_annulus = (dataclasses.replace(s, profile=bounded) for s in (slot, dual_slot))
+            assert len({s.ode_key for s in on_annulus}) == 2, slot.label
+
+
+@settings(max_examples=12, deadline=None)
+@given(profile=st.one_of(some_mirrored, closed_profiles()), n=st.sampled_from([2, 3]), data=st.data())
+def test_slots_with_equal_ode_keys_are_one_problem_on_random_profiles(profile, n, data):
+    # the key holds every input of the solvers: slots that share it assemble
+    # bit-identical FEM pencils, count alike by the secular walk and have
+    # equal kernel dimensions; closed profiles make every Hodge-dual pair
+    # share a key, while the alpha and beta slots of one MINUS_HALF block
+    # have equal c there and differ only in A's entry (a and -1-a)
+    slots = {
+        s.label: s for p in range(n + 2) for prob in problems_for(profile, n, p, 15.0) for s in prob.slot_problems()
+    }
+    groups: dict = {}
+    for s in slots.values():
+        groups.setdefault(s.ode_key, []).append(s)
+    nodes = make_mesh(profile, MeshSpec(h=0.1, tip_floor=0.25))
+    caps = data.draw(st.lists(st.floats(0.1, 40.0), min_size=1, max_size=3))
+    for first, *rest in groups.values():
+        K, M, keep = _assemble(first, nodes)
+        for other in rest:
+            K2, M2, keep2 = _assemble(other, nodes)
+            assert np.array_equal(K, K2) and np.array_equal(M, M2) and np.array_equal(keep, keep2), other.label
+            assert eigen_count(other, caps).tolist() == eigen_count(first, caps).tolist(), other.label
+            assert first_order_kernel(other).dim == first_order_kernel(first).dim, other.label
 
 
 @st.composite
