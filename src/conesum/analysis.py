@@ -15,7 +15,7 @@ control of the tracked eigenfunctions at the gluing radius.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,6 @@ class SpectrumResult:
     zero_count: int
     certificate: dict
     method: str
-    fields: dict = field(default_factory=dict)  # (problem label, index) -> FemField
 
     def positive_values(self) -> np.ndarray:
         """Positive eigenvalues expanded with multiplicity, ascending."""
@@ -62,15 +61,15 @@ class SpectrumResult:
                 out.extend([e.value] * e.multiplicity)
         return np.array(sorted(out))
 
-    def positive_entry(self, k: int) -> tuple[Eigenvalue, int]:
+    def positive_entry(self, k: int) -> Eigenvalue:
         """The entry carrying the k-th positive eigenvalue (1-based, with
-        multiplicity) and the eigenvalue's index within its channel problem."""
+        multiplicity)."""
         if k < 1:
             raise DomainError("k is 1-based")
         e = _kth_positive(self.entries, k)
         if e is None:
             raise DomainError(f"fewer than {k} positive eigenvalues below lam_max={self.lam_max}")
-        return e, e.index
+        return e
 
 
 def _kth_positive(entries: list[Eigenvalue], k: int) -> Eigenvalue | None:
@@ -90,7 +89,6 @@ def assemble_spectrum(
     lam_max: float,
     method: str = "fem",
     mesh: MeshSpec | None = None,
-    want_fields: bool = False,
     _slot_cache: dict | None = None,
 ) -> SpectrumResult:
     """Full degree-p spectrum below lam_max; method in {fem, secular, both}.
@@ -107,18 +105,11 @@ def assemble_spectrum(
     harmonic matching systems; FEM's first that many eigenvalues per slot
     are its zero modes, once its spectrum shows a gap there
     (``_positive_entries``).  Reported eigenvalues come from FEM unless
-    method="secular".
-
-    ``want_fields`` (with FEM) solves every channel as such, coupled ones
-    included, to attach its eigenfunctions; this is the only coupled FEM
-    solve.  A field computes its eigenvector (inverse iteration) on first
-    read, so a caller pays only for the fields it reads.  Without it, a
-    coupled problem with Dirichlet-like or APS ends raises DomainError,
-    since its slots do not carry its spectrum there; with it, only the APS
-    ends raise (``ChannelProblem.endpoint``).
+    method="secular".  A coupled problem with Dirichlet-like or APS ends
+    raises DomainError, since its slots do not carry its spectrum there.
     """
     cache = _slot_cache if _slot_cache is not None else {}
-    return _degree_spectrum(profile, n, p, lam_max, None, method, mesh or MeshSpec(), want_fields, cache)
+    return _degree_spectrum(profile, n, p, lam_max, None, method, mesh or MeshSpec(), False, cache)
 
 
 def _degree_spectrum(
@@ -152,18 +143,16 @@ def _degree_spectrum(
     problems, certificate = degree_problems(profile, n, p, lam_max)
     lam_star = lam_max
     entries: list[Eigenvalue] = []
-    fields: dict = {}
     for prob in sorted(problems, key=ChannelProblem.min_potential) if k else problems:
         zeros = _zero_modes(prob)
         entries += zeros
         counted = lam_star < lam_max and method != "secular"
         if counted and _empty_below(prob, len(zeros), lam_star, method, mesh, want_fields):
             continue
-        entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache, fields)
+        entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache)
         kth = _kth_positive(entries, k) if k else None
         lam_star = kth.value if kth is not None else lam_max
     kept = sort_eigenvalues([e for e in entries if e.value <= lam_star])
-    keys = {(e.problem.label, e.index) for e in kept}
     return SpectrumResult(
         profile=profile,
         n=n,
@@ -173,7 +162,6 @@ def _degree_spectrum(
         zero_count=sum(e.multiplicity for e in kept if e.method == "exact"),
         certificate=certificate,
         method=method,
-        fields={key: fld for key, fld in fields.items() if key in keys},
     )
 
 
@@ -190,19 +178,22 @@ def _channel_spectrum(
     mesh: MeshSpec,
     want_fields: bool,
     cache: dict,
-    fields: dict,
 ) -> list[Eigenvalue]:
     """Positive eigenvalues up to cap of one channel, indexed after its kernel.
 
-    With ``want_fields`` and FEM the channel is solved as such and its
-    fields go into ``fields``; otherwise its slots are (``_slot_spectrum``).
+    With ``want_fields`` and FEM the channel is solved as such, coupled
+    ones included, and each entry carries its eigenform (``field``); this
+    is the only coupled FEM solve, and a coupled problem at an APS end
+    raises DomainError (``ChannelProblem.endpoint``).  A field computes its
+    eigenvector (inverse iteration) on first read, so a caller pays only
+    for the fields it reads.  Otherwise the channel's slots are solved
+    (``_slot_spectrum``), and its entries carry no field.
     """
     if want_fields and method != "secular":
         fem_list = fem_spectrum(prob, mesh, cap, want_vectors=True)
         pos_entries = _positive_entries(prob, fem_list, kernel_dim, cap)
         if method == "both":
             _cross_validate(prob, [e.value for e in pos_entries], transfer_spectrum(prob, cap).values())
-        fields.update(((prob.label, e.index), fld) for e, fld in zip(fem_list.entries, fem_list.meta["fields"]))
         return pos_entries
     slot_entries = sort_eigenvalues(
         [e for slot in prob.slot_problems() for e in _slot_spectrum(slot, cap, method, mesh, cache)]
@@ -503,20 +494,22 @@ def boundary_diagnostics(field: FemField, eps: float, n: int, lam: float) -> Bou
     """
     prob = field.problem
     profile = prob.profile
-    if profile.glue_radius is None or abs(profile.glue_radius - eps) >= 1e-12:
+    seam = next((s for s in profile.seams if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) < 1e-12), None)
+    if profile.glue_radius is None or abs(profile.glue_radius - eps) >= 1e-12 or seam is None:
         raise DomainError(f"diagnostics need a connected-sum profile glued at eps={eps}")
-    seam = next(s for s in profile.seams if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) < 1e-12)
     t_glue = seam.position
     seg_idx = profile.breakpoints.index(t_glue)  # segment starting at the seam (m1 side)
     seg = profile.segments[seg_idx]
     d = prob.orientation_signs(seg.orientation)
 
+    # rows of the active slots: the inactive ones are zero; columns follow gammas
+    vecs = prob.block.eigvecs[list(prob.slot_indices)]
+    gammas = np.array(prob.block.gammas)
+    neg = gammas < 0
+
     # block eigen-coordinates of the trace on the m1 side
-    trace = field.values_at(np.array([t_glue]))[0]
-    sigma_loc = _embed(prob, d * trace)
-    w = prob.block.eigvecs.T @ sigma_loc
-    neg = sum(w[i] ** 2 for i, g in enumerate(prob.block.gammas) if g < 0)
-    pos_amp = {g: w[i] for i, g in enumerate(prob.block.gammas) if g > 0}
+    w = (d * field.values_at(np.array([t_glue]))[0]) @ vecs
+    neg_sq = float(np.sum(w[neg] ** 2))
 
     # quadrature restricted to the m1 cone [eps, r_hi]
     tq, wq, vals = field.quadrature()
@@ -524,17 +517,10 @@ def boundary_diagnostics(field: FemField, eps: float, n: int, lam: float) -> Bou
     mask = (tq >= t_glue) & (tq <= t_top)
     tq, wq, vals = tq[mask], wq[mask], vals[mask]
     rq = seg.r_lo + (tq - t_glue)
-    sig = np.array([_embed(prob, d * v) for v in vals])
-    comp = sig @ prob.block.eigvecs  # columns aligned with gammas
-    phi_minus_sq = np.zeros(len(tq))
-    phi_plus = np.zeros(len(tq))
-    psi = np.zeros(len(tq))
-    for i, g in enumerate(prob.block.gammas):
-        if g < 0:
-            phi_minus_sq += comp[:, i] ** 2
-        else:
-            phi_plus += comp[:, i]
-            psi += eps**g * rq ** (-g) * pos_amp[g]
+    comp = (d * vals) @ vecs
+    phi_minus_sq = np.sum(comp[:, neg] ** 2, axis=1)
+    phi_plus = np.sum(comp[:, ~neg], axis=1)
+    psi = (eps ** gammas[~neg] * rq[:, None] ** -gammas[~neg]) @ w[~neg]
     x1 = xi_one(rq)
     xe = xi_eps(rq, eps)
     dxe = xi_eps_gradient(rq, eps)
@@ -544,21 +530,13 @@ def boundary_diagnostics(field: FemField, eps: float, n: int, lam: float) -> Bou
     return BoundaryDiagnostics(
         eps=eps,
         lam=lam,
-        neg_trace_sq=float(neg),
-        ratio=float(neg / eps),
+        neg_trace_sq=neg_sq,
+        ratio=neg_sq / eps,
         phi_minus_tail_sq=tail,
         cutoff_energy=energy,
         cutoff_energy_bound=4.0 * (lam + 1.0) / (n * abs(math.log(eps))),
         psi_overlap=overlap,
     )
-
-
-def _embed(prob: ChannelProblem, local_values: np.ndarray) -> np.ndarray:
-    """Active-slot values into full block coordinates."""
-    out = np.zeros(prob.block.size)
-    for j, slot in enumerate(prob.slot_indices):
-        out[slot] = local_values[j]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -590,25 +568,24 @@ class SweepReport:
 
 
 def _sweep_one_eps(args: tuple) -> tuple:
-    """McGowan reports, M_eps spectra and the boundary diagnostics of each
-    degree's k_track lowest positive eigenvalues at one eps.  Each degree's
-    spectrum is the search ``_degree_spectrum`` for those k_track values,
-    with fields; the spectra return without fields, so their pencils end
-    with the task."""
+    """McGowan reports and, per degree, the zero-mode count, the k_track
+    lowest positive eigenvalues of M_eps and their boundary diagnostics at
+    one eps.  Each degree's values come from the search ``_degree_spectrum``
+    with fields, and each diagnostic from the eigenform its value's entry
+    carries (None without one, as with method="secular").  Only numbers
+    return, so the pencils behind the fields end with the task."""
     (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, cache) = args
     m_eps = connected_sum_profile(m1, m2, eps)
     mcg = {p: mcgowan_report(m_eps, n, p, eps, mesh, cache) for p in range(1, n + 1)}
-    spectra, diagnostics = {}, {}
+    tracked = {}
     for p in degrees:
         res = _degree_spectrum(m_eps, n, p, lam_max, k_track, method, mesh, True, {})
-        diagnostics[p] = []
-        for k in range(1, k_track + 1):
-            entry, idx = res.positive_entry(k)
-            fld = res.fields.get((entry.problem.label, idx))
-            diagnostics[p].append(boundary_diagnostics(fld, eps, n, entry.value) if fld is not None else None)
-        res.fields = {}
-        spectra[p] = res
-    return eps, spectra, mcg, diagnostics
+        entries = [res.positive_entry(k) for k in range(1, k_track + 1)]
+        diagnostics = [
+            boundary_diagnostics(e.field, eps, n, e.value) if e.field is not None else None for e in entries
+        ]
+        tracked[p] = (res.zero_count, [e.value for e in entries], diagnostics)
+    return eps, mcg, tracked
 
 
 def sweep_epsilon(
@@ -663,16 +640,15 @@ def sweep_epsilon(
         results = {r[0]: r for r in map(_sweep_one_eps, tasks)}
 
     for eps in epsilons:
-        _, spectra, mcg_eps, diags = results[eps]
+        _, mcg_eps, tracked = results[eps]
         for p, rep in mcg_eps.items():
             mcg[(eps, p)] = rep
         for p in degrees:
-            res = spectra[p]
-            zero_counts[(eps, p)] = res.zero_count
+            zero_count, values, diags = tracked[p]
+            zero_counts[(eps, p)] = zero_count
             ref_pos = ref[p].positive_values()
             mcg_val = mcg[(eps, p)].bound if (eps, p) in mcg else float("nan")
-            for k, d in enumerate(diags[p], start=1):
-                lam_e = res.positive_entry(k)[0].value
+            for k, (lam_e, d) in enumerate(zip(values, diags), start=1):
                 lam_1 = float(ref_pos[k - 1])
                 rows.append(
                     SweepRow(
@@ -685,10 +661,10 @@ def sweep_epsilon(
                         rel_err=abs(lam_e - lam_1) / lam_1,
                         bord_ratio=d.ratio if d else float("nan"),
                         mcgowan=mcg_val,
-                        zero_count=res.zero_count,
+                        zero_count=zero_count,
                     )
                 )
-            diagnostics[(eps, p)] = diags[p]
+            diagnostics[(eps, p)] = diags
 
     checks = _sweep_checks(rows, mcg, zero_counts, epsilons, degrees)
     return SweepReport(

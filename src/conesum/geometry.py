@@ -271,11 +271,12 @@ def cover_profiles(m_eps: Profile, eps: float) -> tuple[Profile, Profile, Profil
     [eps, 2 eps] of m1's cone, and U12 is that annulus; every exposed cut
     carries the absolute boundary condition.
     """
-    if m_eps.glue_radius is None or abs(m_eps.glue_radius - eps) > _TOL:
-        raise DomainError("profile was not built by connected_sum_profile at this eps")
     idx = next(
-        i for i, s in enumerate(m_eps.seams) if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) <= _TOL
+        (i for i, s in enumerate(m_eps.seams) if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) <= _TOL),
+        None,
     )
+    if m_eps.glue_radius is None or abs(m_eps.glue_radius - eps) > _TOL or idx is None:
+        raise DomainError("profile was not built by connected_sum_profile at this eps")
     n_m2 = idx + 1  # segments belonging to the scaled m2
     m1_first = m_eps.segments[n_m2]
     if m1_first.r_hi < 2 * eps:

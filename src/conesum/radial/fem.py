@@ -360,9 +360,9 @@ def fem_spectrum(
     """Eigenvalues <= lam_max with Richardson extrapolation over two meshes.
 
     Entries report the extrapolated value and |lam_2 - lam_1| / 15 as the
-    convergence estimate; ``want_vectors`` attaches one fine-mesh
-    :class:`FemField` per entry (meta["fields"]), normalised to unit L2
-    norm.  The fields share the fine pencil, and each computes its
+    convergence estimate; with ``want_vectors`` each entry also carries its
+    eigenform (``Eigenvalue.field``), a fine-mesh :class:`FemField` of unit
+    L2 norm.  The fields share the fine pencil, and each computes its
     eigenvector only when its ``coeffs`` are first read.
     """
     if lam_max <= 0:
@@ -375,6 +375,8 @@ def fem_spectrum(
     vals1 = single_mesh_eigenvalues(problem, nodes1, lam_cap)
     K2, M2, keep = _assemble(problem, nodes2)
     vals2 = solve_pencil(K2, M2, lam_cap)
+    # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
+    pencil = (K2, M2, keep, vals2, lam_cap)
 
     npair = min(len(vals1), len(vals2))
     if npair < len(vals2) and vals2[npair] <= lam_max:
@@ -393,10 +395,8 @@ def fem_spectrum(
             raise ConvergenceError(
                 f"extrapolation not converged for {problem.label}: lam={ext}, est={est}"
             )
+        fld = FemField(problem, nodes2, pencil, i) if want_vectors else None
         entries.append(
-            Eigenvalue(value=float(ext), problem=problem, index=i, method="fem", error=float(est))
+            Eigenvalue(value=float(ext), problem=problem, index=i, method="fem", error=float(est), field=fld)
         )
-    # M is the exact L2 Gram matrix, so M-normalised means unit L2 norm
-    pencil = (K2, M2, keep, vals2, lam_cap)
-    fields = [FemField(problem, nodes2, pencil, i) for i in range(len(entries))] if want_vectors else None
-    return EigList(entries=entries, meta={"fields": fields})
+    return EigList(entries=entries)

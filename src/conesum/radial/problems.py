@@ -33,12 +33,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..cone_operator import ALPHA, BETA, ABlock, Family, build_blocks, enumerate_blocks
 from ..errors import DomainError
 from ..geometry import BCKind, Profile
+
+if TYPE_CHECKING:
+    from .fem import FemField
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,13 +198,15 @@ class EndpointData:
 
 @dataclass(frozen=True, eq=False)
 class Eigenvalue:
-    """One eigenvalue with provenance and a quality indicator."""
+    """One eigenvalue with provenance, a quality indicator and, from
+    ``fem_spectrum(..., want_vectors=True)``, its eigenform."""
 
     value: float
     problem: ChannelProblem
     index: int
     method: str
     error: float | None = None
+    field: FemField | None = None
 
     @property
     def multiplicity(self) -> int:
@@ -216,7 +222,6 @@ class EigList:
     """Sorted eigenvalues of one problem or an assembled union of problems."""
 
     entries: list[Eigenvalue]
-    meta: dict | None = None
 
     def __post_init__(self):
         self.entries = sort_eigenvalues(self.entries)

@@ -1,4 +1,6 @@
+import io
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -72,7 +74,7 @@ def test_positive_entry_indexing(spindle_spectra):
     res = spindle_spectra[0]
     vals = res.positive_values()
     for k in (1, 2, 4):
-        entry, _ = res.positive_entry(k)
+        entry = res.positive_entry(k)
         assert entry.value == pytest.approx(vals[k - 1], rel=1e-12)
     with pytest.raises(DomainError):
         res.positive_entry(10**6)
@@ -196,11 +198,11 @@ def test_coupled_problems_without_slot_reduction():
     with pytest.raises(DomainError, match="no scalar slot reduction"):
         assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH)
     with pytest.raises(DomainError, match="coupled problem at an APS end"):
-        assemble_spectrum(prof, 2, 1, 20.0, mesh=MESH, want_fields=True)
+        _degree_spectrum(prof, 2, 1, 20.0, None, "fem", MESH, True, {})
     # scalar slots at the APS end still carry eigenfields
-    res = assemble_spectrum(prof, 2, 0, 20.0, mesh=MESH, want_fields=True)
+    res = _degree_spectrum(prof, 2, 0, 20.0, None, "fem", MESH, True, {})
     assert [e for e in res.entries if e.value > 0.0]
-    assert all((e.problem.label, e.index) in res.fields for e in res.entries if e.value > 0.0)
+    assert all(e.field is not None for e in res.entries if e.value > 0.0)
 
 
 def test_first_positive_exact_grows_its_enumeration_bound(monkeypatch):
@@ -458,7 +460,7 @@ def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
     fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
 
     def missed(pr, *a, **kw):
-        return fem_spectrum(pr, *a, **kw) if pr.label == first else EigList(entries=[], meta={"fields": []})
+        return fem_spectrum(pr, *a, **kw) if pr.label == first else EigList(entries=[])
 
     monkeypatch.setattr(analysis, "fem_spectrum", missed)
     monkeypatch.setattr(analysis, "coarse_count", lambda pr, *a: coarse_count(pr, *a) if pr.label == first else 0)
@@ -507,11 +509,99 @@ def test_sweep_rejects_unsorted_epsilons():
 
 def test_boundary_diagnostics_rejects_an_eps_off_the_glue_radius():
     m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
-    res = assemble_spectrum(m_eps, 2, 0, 20.0, mesh=MESH, want_fields=True)
-    fld = next(iter(res.fields.values()))
+    res = _degree_spectrum(m_eps, 2, 0, 20.0, None, "fem", MESH, True, {})
+    fld = next(e.field for e in res.entries if e.field is not None)
     assert boundary_diagnostics(fld, 0.1, 2, 1.0).eps == 0.1
     with pytest.raises(DomainError, match="glued at eps=0.05"):
         boundary_diagnostics(fld, 0.05, 2, 1.0)
+
+
+def test_boundary_diagnostics_rejects_a_glue_radius_without_its_seam():
+    # glue_radius says eps, but no radial-minimum seam lies at eps
+    tip = geo.BCKind.REGULAR_TIP
+    prof = geo.Profile(spindle(1.0).segments, tip, tip, glue_radius=0.1)
+    prob = degree_problems(prof, 2, 0, 20.0)[0][0]
+    fld = fem.fem_spectrum(prob, MESH, 20.0, want_vectors=True).entries[0].field
+    with pytest.raises(DomainError, match="glued at eps=0.1"):
+        boundary_diagnostics(fld, 0.1, 2, 1.0)
+
+
+def _per_point_diagnostics(field, eps):
+    """(neg_trace_sq, phi_minus_tail_sq, cutoff_energy, psi_overlap) by the
+    per-point loops: each active-slot value is embedded into the full block
+    and projected on each eigenvector of A, gamma by gamma."""
+    prob, profile = field.problem, field.problem.profile
+    t_glue = next(s.position for s in profile.seams if s.kind is geo.SeamKind.RADIAL_MIN)
+    seg_idx = profile.breakpoints.index(t_glue)
+    seg = profile.segments[seg_idx]
+    d = prob.orientation_signs(seg.orientation)
+
+    def project(values):
+        sigma = np.zeros(prob.block.size)
+        for j, slot in enumerate(prob.slot_indices):
+            sigma[slot] = d[j] * values[j]
+        return prob.block.eigvecs.T @ sigma
+
+    w = project(field.values_at(np.array([t_glue]))[0])
+    neg = sum(w[i] ** 2 for i, g in enumerate(prob.block.gammas) if g < 0)
+    tq, wq, vals = field.quadrature()
+    mask = (tq >= t_glue) & (tq <= profile.breakpoints[seg_idx + 1])
+    tq, wq = tq[mask], wq[mask]
+    rq = seg.r_lo + (tq - t_glue)
+    phi_minus_sq, phi_plus, psi = np.zeros(len(tq)), np.zeros(len(tq)), np.zeros(len(tq))
+    for q, v in enumerate(vals[mask]):
+        comp = project(v)
+        for i, g in enumerate(prob.block.gammas):
+            if g < 0:
+                phi_minus_sq[q] += comp[i] ** 2
+            else:
+                phi_plus[q] += comp[i]
+                psi[q] += eps**g * rq[q] ** (-g) * w[i]
+    x1, xe, dxe = xi_one(rq), xi_eps(rq, eps), analysis.xi_eps_gradient(rq, eps)
+    return (
+        neg,
+        np.sum(wq * ((1 - xe) * x1) ** 2 * phi_minus_sq),
+        np.sum(wq * (dxe * x1) ** 2 * phi_minus_sq),
+        np.sum(wq * (x1 * phi_plus - x1 * psi) * x1 * psi),
+    )
+
+
+def test_boundary_diagnostics_match_the_per_point_loops():
+    # every positive eigenform of M_eps in degrees 0 to 2: alpha and beta
+    # slots of two-slot blocks, exceptional channels and coupled channels
+    m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
+    sizes = set()
+    for p in (0, 1, 2):
+        for e in _degree_spectrum(m_eps, 2, p, 20.0, None, "fem", MESH, True, {}).entries:
+            if e.value > 0.0:
+                sizes.add((e.problem.slot_indices, e.problem.block.size))
+                got = boundary_diagnostics(e.field, 0.1, 2, e.value)
+                ref = _per_point_diagnostics(e.field, 0.1)
+                assert got.neg_trace_sq == pytest.approx(ref[0], rel=1e-14, abs=1e-300)
+                assert got.phi_minus_tail_sq == pytest.approx(ref[1], rel=1e-12, abs=1e-300)
+                assert got.cutoff_energy == pytest.approx(ref[2], rel=1e-12, abs=1e-300)
+                assert got.psi_overlap == pytest.approx(ref[3], rel=1e-12, abs=1e-300)
+    assert sizes == {((0,), 1), ((0,), 2), ((1,), 2), ((0, 1), 2)}
+
+
+def test_sweep_task_returns_only_numbers():
+    # each degree's eigenforms, and the pencils they share, stay in the
+    # task: its result pickles to containers, numbers, the two reports and
+    # their field names
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    result = analysis._sweep_one_eps((m1, m2, 2, [0, 1], 0.1, 20.0, 2, MESH, "fem", {}))
+    seen = set()
+
+    class Spy(pickle.Pickler):
+        def persistent_id(self, obj):
+            seen.add(type(obj))
+
+    Spy(io.BytesIO()).dump(result)
+    assert fem.FemField not in seen
+    assert seen <= {tuple, list, dict, str, int, float, type, analysis.McGowanReport, analysis.BoundaryDiagnostics}
+    _, _, tracked = result
+    for zero_count, values, diags in tracked.values():
+        assert len(values) == len(diags) == 2 and all(d is not None for d in diags)
 
 
 def test_boundary_diagnostics_values(small_sweep):

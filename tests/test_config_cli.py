@@ -202,23 +202,27 @@ def test_benchmark_tracer_binds_every_traced_name():
     # perfbench's tracer wraps conesum functions by module and name, and
     # rewrites module attributes, so it must run in its own interpreter;
     # -B keeps it from writing bytecode into perfbench/.  One secular solve
-    # must then show up in the secular spans and the Bessel counters.
+    # must then show up in the secular spans and the Bessel counters, and
+    # one FEM solve in the hooks that read its entries and eigsh's sparse K.
     root = Path(__file__).resolve().parents[1]
     code = (
         f"import sys; sys.path[:0] = [{str(root / 'src')!r}, {str(root / 'perfbench')!r}]\n"
         "import conesum.cli\nfrom tracer import Tracer, layer_metrics\n"
         "tracer = Tracer(); tracer.install()\n"
-        "from conesum import geometry\nfrom conesum.radial import problems, transfer\n"
+        "from conesum import geometry\nfrom conesum.radial import fem, problems, transfer\n"
         "probs = problems.degree_problems(geometry.cone(1.0), 2, 0, 40.0)[0]\n"
         "assert len(transfer.transfer_spectrum(probs[0], 40.0).entries) > 0\n"
+        "assert len(fem.fem_spectrum(probs[0], fem.MeshSpec(h=0.1), 40.0).entries) > 0\n"
         "m = layer_metrics(tracer.dump(), ['radial.transfer.secular_value'])\n"
         "print(m['radial.transfer.secular_value.calls'], m['radial.bessel.jy_arrays.calls'],"
-        " m['radial.bessel.jy_arrays.points'])\n"
+        " m['radial.bessel.jy_arrays.points'], m['radial.fem.fem_spectrum.eigs_returned'],"
+        " m['radial.fem.pencil.nnz'])\n"
     )
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    spans, calls, points = map(int, proc.stdout.split())
+    spans, calls, points, eigs_returned, nnz = map(int, proc.stdout.split())
     assert spans > 0 and calls > 0 and points > 0
+    assert eigs_returned > 0 and nnz > 0
 
 
 BENCHMARK_GUARD = """

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from conesum.errors import DomainError
 from conesum.geometry import (
     BCKind,
+    Profile,
     SeamKind,
     annulus,
     build_profile,
@@ -87,6 +88,13 @@ def test_cover_profiles():
     # U1 and U2 overlap exactly on the annulus in the radial coordinate
     total = u1.length + u2.length - u12.length
     assert total == pytest.approx(me.length)
+
+
+def test_cover_profiles_reject_a_glue_radius_without_its_seam():
+    # glue_radius says eps, but no radial-minimum seam lies at eps
+    tip = BCKind.REGULAR_TIP
+    with pytest.raises(DomainError, match="not built by connected_sum_profile"):
+        cover_profiles(Profile(spindle(1.0).segments, tip, tip, glue_radius=0.1), 0.1)
 
 
 def test_seam_radii_positive_and_tips_zero():

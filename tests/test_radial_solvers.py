@@ -417,6 +417,18 @@ def test_fem_zero_mode_on_a_thin_neck_at_n3():
     assert assemble_spectrum(neck, 3, 3, 15.0, mesh=MeshSpec(h=0.1)).zero_count == 1
 
 
+def test_fem_spectrum_pairs_each_entry_with_its_eigenform():
+    # a coupled channel: each entry carries the fine-mesh eigenform of its
+    # own index, whose pencil value is the entry's before extrapolation
+    prob = find_problem(geo.spindle(1.0), 2, 1, "plus_half")
+    entries = fem_spectrum(prob, MESH, 40.0, want_vectors=True).entries
+    assert len(entries) >= 2
+    for e in entries:
+        assert e.field.index == e.index and e.field.problem is e.problem
+        assert e.field.pencil[3][e.index] == pytest.approx(e.value, abs=1.01 * e.error + 1e-12)
+    assert all(e.field is None for e in fem_spectrum(prob, MESH, 40.0).entries)
+
+
 def test_fem_refinement_ratio():
     # smooth channel: quadratic elements gain ~2^4 per uniform refinement
     prob = find_problem(geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE), 2, 1, "q1:k1:minus")
@@ -749,20 +761,20 @@ def test_k_lowest_search_matches_the_full_spectrum_on_random_profiles(profile, n
     # first k entries of the full spectrum: values, channels and indices
     # (draws where FEM fails near a small radius are discarded:
     # test_fem_zero_mode_on_a_thin_neck_at_n3 pins one)
-    from conesum.analysis import _degree_spectrum, assemble_spectrum
+    from conesum.analysis import _degree_spectrum
 
     p = data.draw(st.integers(0, n + 1))
     mesh = MeshSpec(h=0.1)
     for with_fields in (False, True):
         try:
-            full = assemble_spectrum(profile, n, p, 15.0, mesh=mesh, want_fields=with_fields)
+            full = _degree_spectrum(profile, n, p, 15.0, None, "fem", mesh, with_fields, {})
         except (ConvergenceError, ZeroModeMismatchError):
             reject()
         part = _degree_spectrum(profile, n, p, 15.0, k, "fem", mesh, with_fields, {})
         assert part.zero_count == full.zero_count
         for j in range(1, min(k, len(full.positive_values())) + 1):
-            (a, i), (b, m) = full.positive_entry(j), part.positive_entry(j)
-            assert (b.problem.label, m) == (a.problem.label, i), (with_fields, j)
+            a, b = full.positive_entry(j), part.positive_entry(j)
+            assert (b.problem.label, b.index) == (a.problem.label, a.index), (with_fields, j)
             assert b.value == pytest.approx(a.value, rel=1e-10), (with_fields, j)
 
 
