@@ -55,11 +55,7 @@ class SpectrumResult:
 
     def positive_values(self) -> np.ndarray:
         """Positive eigenvalues expanded with multiplicity, ascending."""
-        out: list[float] = []
-        for e in self.entries:
-            if e.value > 0.0:
-                out.extend([e.value] * e.multiplicity)
-        return np.array(sorted(out))
+        return _positive_values(self.entries)
 
     def positive_entry(self, k: int) -> Eigenvalue:
         """The entry carrying the k-th positive eigenvalue (1-based, with
@@ -70,6 +66,10 @@ class SpectrumResult:
         if e is None:
             raise DomainError(f"fewer than {k} positive eigenvalues below lam_max={self.lam_max}")
         return e
+
+
+def _positive_values(entries: list[Eigenvalue]) -> np.ndarray:
+    return np.array(sorted(e.value for e in entries if e.value > 0.0 for _ in range(e.multiplicity)))
 
 
 def _kth_positive(entries: list[Eigenvalue], k: int) -> Eigenvalue | None:
@@ -124,45 +124,62 @@ def _degree_spectrum(
     cache: dict,
 ) -> SpectrumResult:
     """Zero modes and positive eigenvalues of degree p below lam_max, or with
-    k only the k lowest positive ones (with multiplicity), channel by channel.
-
-    Each channel of degree_problems(profile, n, p, lam_max) is solved
-    (``_channel_spectrum``) up to lam*: lam_max, or with k the k-th positive
-    value found so far once k are found.  With k the channels are visited in
-    increasing order of their least potential eigenvalue, and once lam* <
-    lam_max a channel is skipped without an eigensolve when counts show FEM
-    would find nothing below lam* (``_empty_below``).  With method="secular"
-    no channel is skipped: transfer_spectrum's own Sturm count ends an empty
-    one.  No channel is excluded by its bound c / R_max^2 beyond what
-    degree_problems excludes.  Caps only fall, so no channel holds an
-    eigenvalue up to the final lam* beyond those found.  The result keeps
-    the zero modes and the entries up to lam* and reports lam_max = lam*.
+    k only the k lowest positive ones (with multiplicity): ``_lowest`` over
+    the channels of degree_problems(profile, n, p, lam_max).  The result
+    reports lam_max = lam*, up to which it is complete.
     """
     if method not in ("fem", "secular", "both"):
         raise DomainError(f"unknown method {method!r}")
     problems, certificate = degree_problems(profile, n, p, lam_max)
-    lam_star = lam_max
-    entries: list[Eigenvalue] = []
-    for prob in sorted(problems, key=ChannelProblem.min_potential) if k else problems:
-        zeros = _zero_modes(prob)
-        entries += zeros
-        counted = lam_star < lam_max and method != "secular"
-        if counted and _empty_below(prob, len(zeros), lam_star, method, mesh, want_fields):
-            continue
-        entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache)
-        kth = _kth_positive(entries, k) if k else None
-        lam_star = kth.value if kth is not None else lam_max
-    kept = sort_eigenvalues([e for e in entries if e.value <= lam_star])
+    entries, lam_star = _lowest(problems, lam_max, k, method, mesh, want_fields, cache)
     return SpectrumResult(
         profile=profile,
         n=n,
         degree=p,
         lam_max=lam_star,
-        entries=kept,
-        zero_count=sum(e.multiplicity for e in kept if e.method == "exact"),
+        entries=entries,
+        zero_count=sum(e.multiplicity for e in entries if e.method == "exact"),
         certificate=certificate,
         method=method,
     )
+
+
+def _lowest(
+    problems: list[ChannelProblem],
+    lam_max: float,
+    k: int | None,
+    method: str,
+    mesh: MeshSpec,
+    want_fields: bool,
+    cache: dict,
+) -> tuple[list[Eigenvalue], float]:
+    """The zero modes and positive eigenvalues up to lam* of the problems,
+    sorted, and lam*: lam_max, or with k the k-th positive value (with
+    multiplicity) once k are found.
+
+    Problems are visited in increasing ``lower_bound``; each has its zero
+    modes counted and is solved (``_channel_spectrum``) up to lam* so far,
+    except that once lam* < lam_max one with no zero mode is skipped when
+    its bound exceeds lam* (without a count) or when ``_empty_below`` shows
+    FEM would find nothing below lam* (not with method="secular", whose
+    Sturm count ends an empty slot).  So FEM's gap check runs wherever a
+    zero mode is.  Caps only fall, so no problem holds a value up to the
+    final lam* beyond those found.
+    """
+    lam_star = lam_max
+    entries: list[Eigenvalue] = []
+    for prob in sorted(problems, key=ChannelProblem.lower_bound):
+        zeros = _zero_modes(prob)
+        entries += zeros
+        if lam_star < lam_max and not zeros and (
+            prob.lower_bound() > lam_star
+            or (method != "secular" and _empty_below(prob, lam_star, method, mesh, want_fields))
+        ):
+            continue
+        entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache)
+        kth = _kth_positive(entries, k) if k else None
+        lam_star = kth.value if kth is not None else lam_max
+    return sort_eigenvalues([e for e in entries if e.value <= lam_star]), lam_star
 
 
 def _zero_modes(prob: ChannelProblem) -> list[Eigenvalue]:
@@ -205,23 +222,18 @@ def _channel_spectrum(
     ]
 
 
-def _empty_below(prob: ChannelProblem, kernel_dim: int, cap: float, method: str, mesh: MeshSpec, want_fields: bool):
-    """Whether counts show that FEM would find no positive eigenvalue of the
-    channel below cap.
-
-    The channel must have no zero mode, so that FEM's gap check runs
-    wherever one is, and each problem ``_channel_spectrum`` would give FEM
-    (the channel with ``want_fields``, else its slots) must have no coarse
-    eigenvalue below fem_spectrum's cap for cap (``coarse_count``).  With
-    method="both" the secular solver must agree: each slot's Sturm count
-    ``eigen_count`` at cap is its kernel dimension, else the channel is
-    solved and cross-validated.
+def _empty_below(prob: ChannelProblem, cap: float, method: str, mesh: MeshSpec, want_fields: bool):
+    """Whether counts show that FEM would find no positive eigenvalue below
+    cap of the channel, which has no zero mode: each problem
+    ``_channel_spectrum`` would give FEM (the channel with ``want_fields``,
+    else its slots) has no coarse eigenvalue below fem_spectrum's cap for
+    cap (``coarse_count``).  With method="both" the secular solver must
+    agree: each slot's Sturm count ``eigen_count`` at cap is its kernel
+    dimension, else the channel is solved and cross-validated.
     """
     solved = (prob,) if want_fields else prob.slot_problems()
-    return (
-        kernel_dim == 0
-        and all(coarse_count(pr, mesh, cap) == 0 for pr in solved)
-        and (method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in prob.slot_problems()))
+    return all(coarse_count(pr, mesh, cap) == 0 for pr in solved) and (
+        method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in prob.slot_problems())
     )
 
 
@@ -323,12 +335,8 @@ def exact_form_spectrum(
     in assemble_spectrum.  For p = 1 it is the positive spectrum on functions."""
     if p < 1:
         raise DomainError("exact forms need p >= 1")
-    mesh = mesh or MeshSpec()
-    out: list[float] = []
-    for prob in _exact_slots(profile, n, p, lam_max):
-        for e in _slot_spectrum(prob, lam_max, "fem", mesh, {}):
-            out.extend([e.value] * prob.multiplicity)
-    return np.array(sorted(out))
+    entries, _ = _lowest(_exact_slots(profile, n, p, lam_max), lam_max, None, "fem", mesh or MeshSpec(), False, {})
+    return _positive_values(entries)
 
 
 def _exact_slots(profile, n, p, lam_max) -> list[ChannelProblem]:
@@ -345,32 +353,21 @@ def _exact_slots(profile, n, p, lam_max) -> list[ChannelProblem]:
 
 def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
     """First positive exact p-eigenvalue (for p = 0 on functions, as for p = 1):
-    the least first positive eigenvalue of the ``_exact_slots``.
-
-    Slots come in increasing order of their lower bound c / R_max^2, the one
-    degree_problems' certificate rests on; the least value so far, lam*,
-    ends the search at the first bound above it.  A slot is skipped when the inertia count
-    of its coarse pencil at fem_spectrum's cap for lam* (``coarse_count``)
-    is its kernel dimension, else solved up to lam*.  Until a slot has a
-    value, slots are solved up to the enumeration bound, FIRST_EXACT_BOUND
-    at unit radius, grown fourfold.  One ``_slot_cache`` solves each distinct
-    radial ODE once per cap.
+    the least positive value of the ``_exact_slots``, by ``_lowest`` with
+    k = 1, so each slot is solved up to the least value so far, lam*, or
+    skipped by its lower bound or by a count.  The enumeration bound starts
+    at FIRST_EXACT_BOUND at unit radius and grows fourfold until a slot has
+    a value.  One ``_slot_cache`` solves each distinct radial ODE once per
+    cap.
     """
     mesh = mesh or MeshSpec()
     cache = _slot_cache if _slot_cache is not None else {}
-    r2 = profile.r_max**2
-    bound = FIRST_EXACT_BOUND * max(1.0, 1.0 / r2)
+    bound = FIRST_EXACT_BOUND * max(1.0, 1.0 / profile.r_max**2)
     while True:
-        best = math.inf
-        for slot in sorted(_exact_slots(profile, n, max(p, 1), bound), key=ChannelProblem.min_potential):
-            if slot.min_potential() / r2 > best:
-                break
-            if best < math.inf and coarse_count(slot, mesh, best) == first_order_kernel(slot).dim:
-                continue
-            pos = _slot_spectrum(slot, min(best, bound), "fem", mesh, cache)
-            best = pos[0].value if pos else best
-        if best < math.inf:
-            return best
+        entries, _ = _lowest(_exact_slots(profile, n, max(p, 1), bound), bound, 1, "fem", mesh, False, cache)
+        first = _kth_positive(entries, 1)
+        if first is not None:
+            return first.value
         bound *= 4.0
 
 

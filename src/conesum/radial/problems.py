@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..cone_operator import ALPHA, BETA, ABlock, Family, build_blocks, enumerate_blocks
+from ..cone_operator import ALPHA, BETA, ABlock, build_blocks, enumerate_blocks
 from ..errors import DomainError
 from ..geometry import BCKind, Profile
 
@@ -133,8 +133,27 @@ class ChannelProblem:
         d = self.orientation_signs(orientation)
         return self.potential * np.outer(d, d)
 
-    def min_potential(self) -> float:
-        return float(np.linalg.eigvalsh(self.potential).min())
+    def lower_bound(self) -> float:
+        """mu^2 / R_max^2: below it the problem has no eigenvalue but its zero modes.
+
+        Proof.  In the block coordinates sigma = (alpha, beta) the quadratic
+        form is Q(sigma) = sum over segments of int |(d/dr + A/r) sigma|^2 dr,
+        which is |(d + d*) sigma|^2; the seam and natural end terms are its
+        boundary terms.  The off-diagonal entry of a two-slot block's A is
+        -mu.  An alpha slot sigma = (u, 0) is coclosed, and the other
+        component of (d/dr + A/r) sigma, its tangential d, is -mu u / r; so
+        Q(sigma) = |d sigma|^2 >= int mu^2 u^2 / r^2 dr >= mu^2 / R_max^2
+        |sigma|^2 for every sigma in the form domain, and min-max gives the
+        bound.  A beta slot (0, u) is closed, and the same argument runs
+        with d*.  A positive eigenform w of a coupled channel gives d* w and
+        d w, eigenforms of its two slots for the same lam
+        (``slot_problems``), not both zero, so lam obeys their bound.
+        Dirichlet-like and APS ends only shrink the form domain: a slot's
+        bound holds for every u, and a coupled channel's count below it is
+        at most its count with absolute ends.  Exceptional channels have
+        mu = 0.
+        """
+        return self.block.mode.mu_sq / self.profile.r_max**2
 
     # -- seam and endpoint data ------------------------------------------------
 
@@ -242,49 +261,31 @@ def degree_problems(
 ) -> tuple[list[ChannelProblem], dict]:
     """All channel problems of degree p that can produce eigenvalues <= lam_max.
 
-    A block is excludable when every eigenvalue of its potential matrix
-    exceeds cap = lam_max * R_max^2, because eigenvalues of a channel obey
-    lam >= min gamma(gamma+1) / R_max^2.  Exceptional blocks
-    (mu^2 = 0) are never excluded: the degree-n one carries the zero mode
-    of [a, b] x S^n with absolute ends at any R_max.  The returned
-    certificate records the cutoff; modes are enumerated up to
-
-        mu_sq_cut = (1 + sqrt(cap + 1/4))^2
-
-    which dominates every excluded family since min gamma(gamma+1) >=
-    (s-1)^2 - 1/4 with s >= mu.
+    These are the channels of every degree-p block whose sphere mode has
+    mu^2 <= mu_sq_cut = lam_max * R_max^2, the exceptional ones (mu^2 = 0)
+    included.  Any other channel has ``lower_bound()`` above lam_max, so
+    no positive eigenvalue up to lam_max, and no zero mode either: a
+    harmonic field of a coupled channel is d of a form in its alpha slot,
+    hence orthogonal to itself.  mu^2 grows with the level k, so the
+    enumeration is complete.  The certificate records the cut.
     """
     if not 0 <= p <= n + 1:
         raise DomainError(f"degree must satisfy 0 <= p <= n+1, got p={p}")
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
     r_max = profile.r_max
-    cap = lam_max * r_max * r_max
-    mu_sq_cut = (1.0 + math.sqrt(cap + 0.25)) ** 2
-    problems: list[ChannelProblem] = []
-    excluded: list[float] = []  # floors min_potential / R_max^2 > lam_max
-    for block in enumerate_blocks(n, mu_sq_cut):
-        if p not in block.degrees:
-            continue
-        slots = tuple(i for i, d in enumerate(block.degrees) if d == p)
-        prob = ChannelProblem(
+    mu_sq_cut = lam_max * r_max * r_max
+    problems = [
+        ChannelProblem(
             profile=profile,
             n=n,
             degree=p,
             block=block,
-            slot_indices=slots,
+            slot_indices=tuple(i for i, d in enumerate(block.degrees) if d == p),
             multiplicity=block.mode.multiplicity,
         )
-        if prob.min_potential() <= cap or block.family is Family.EXCEPTIONAL:
-            problems.append(prob)
-        else:
-            excluded.append(prob.min_potential() / (r_max * r_max))
-    certificate = {
-        "lam_max": lam_max,
-        "r_max": r_max,
-        "cap": cap,
-        "mu_sq_cut": mu_sq_cut,
-        "included": len(problems),
-        "excluded_floor": min(excluded, default=None),
-    }
+        for block in enumerate_blocks(n, mu_sq_cut)
+        if p in block.degrees
+    ]
+    certificate = {"lam_max": lam_max, "r_max": r_max, "mu_sq_cut": mu_sq_cut, "included": len(problems)}
     return problems, certificate

@@ -21,6 +21,7 @@ from conesum.analysis import (
     xi_eps,
     xi_one,
 )
+from conesum.cone_operator import enumerate_blocks
 from conesum.errors import DomainError, SolverDisagreementError, ZeroModeMismatchError
 from conesum.geometry import connected_sum_profile, cover_profiles, spindle, truncated_spindle
 from conesum.radial import fem
@@ -81,8 +82,17 @@ def test_positive_entry_indexing(spindle_spectra):
 
 
 def test_enumeration_certificate(spindle_spectra):
-    cert = spindle_spectra[0].certificate
-    assert cert["excluded_floor"] is None or cert["excluded_floor"] > cert["lam_max"]
+    # complete by the proven bound mu^2 / R_max^2: every degree-p block whose
+    # mode has mu^2 <= mu_sq_cut is enumerated, and none above it
+    for p, res in spindle_spectra.items():
+        cert = res.certificate
+        assert cert["mu_sq_cut"] == cert["lam_max"] * cert["r_max"] ** 2 == 40.0
+        probs = degree_problems(res.profile, 2, p, cert["lam_max"])[0]
+        wider = [b for b in enumerate_blocks(2, 4.0 * cert["mu_sq_cut"]) if p in b.degrees]
+        inside = [f"p{p}:{b.label}" for b in wider if b.mode.mu_sq <= cert["mu_sq_cut"]]
+        assert [pr.label for pr in probs] == inside and cert["included"] == len(inside)
+        assert len(wider) > len(inside)
+        assert all(pr.lower_bound() <= cert["lam_max"] for pr in probs)
 
 
 def test_assemble_rejects_unknown_method():
@@ -115,7 +125,7 @@ def _entry_rows(res):
 
 def test_slot_cache_solves_each_distinct_ode_once(monkeypatch):
     # the hodge benchmark's M_eps: its Hodge-dual slots are one radial ODE
-    # (drops at two tips, equal c and A), so 64 slot labels need 32 solves
+    # (drops at two tips, equal c and A), so 58 slot labels need 29 solves
     import conesum.analysis as analysis
 
     prof = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.025)
@@ -137,8 +147,8 @@ def test_slot_cache_solves_each_distinct_ode_once(monkeypatch):
         assert shared[p].zero_count == alone[p].zero_count
     # one FEM solve per distinct scalar ODE, none on a coupled problem
     slots = [s for p in degrees for prob in degree_problems(prof, 3, p, 100.0)[0] for s in prob.slot_problems()]
-    assert len({s.label for s in slots}) == 64
-    assert len(solved) == len(set(solved)) == 32
+    assert len({s.label for s in slots}) == 58
+    assert len(solved) == len(set(solved)) == 29
     assert set(solved) == {s.ode_key for s in slots}
 
 
@@ -258,7 +268,7 @@ def test_first_positive_exact_solves_only_slots_that_can_win(monkeypatch):
     lam = first_positive_exact(u2, 2, 2, MESH)
     assert lam == pytest.approx(DEFAULT_SWEEP_MCGOWAN[(eps, 2)][1] * eps**2, rel=1e-10)
     assert len(solved) == 2
-    assert all(prob.min_potential() / u2.r_max**2 <= lam for prob in solved)
+    assert all(prob.lower_bound() <= lam for prob in solved)
 
 
 def test_mcgowan_formula_examples():
@@ -431,24 +441,35 @@ def test_k_lowest_search_keeps_only_complete_values():
 
 def test_sweep_solves_or_counts_every_channel(monkeypatch):
     # every channel of M1 (solved through its slots) and of each M_eps
-    # (solved as such, with fields) is either solved or inertia-counted,
-    # and only the channels that can hold a tracked value are solved
+    # (solved as such, with fields) is solved, inertia-counted or bounded
+    # out: its lower bound is above its degree's final lam*, the third
+    # positive value; only the channels that can hold a tracked value are
+    # solved
     solved, counted = [], []
     fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
     monkeypatch.setattr(analysis, "fem_spectrum", lambda pr, *a, **kw: solved.append(pr) or fem_spectrum(pr, *a, **kw))
     monkeypatch.setattr(analysis, "coarse_count", lambda pr, *a: counted.append(pr) or coarse_count(pr, *a))
     m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
-    sweep_epsilon(m1=m1, m2=m2, n=2, degrees=[0, 1], epsilons=[0.2, 0.1], lam_max=40.0, k_track=3, mesh=MESH)
+    rep = sweep_epsilon(m1=m1, m2=m2, n=2, degrees=[0, 1], epsilons=[0.2, 0.1], lam_max=40.0, k_track=3, mesh=MESH)
+    lam_star = {(m1, r.degree): r.lam_m1 for r in rep.rows if r.k == 3}
+    m_eps = {eps: connected_sum_profile(m1, m2, eps) for eps in (0.2, 0.1)}
+    lam_star |= {(m_eps[r.eps], r.degree): r.lam_eps for r in rep.rows if r.k == 3}
     solved_keys = {(pr.profile, pr.label) for pr in solved}
     counted_keys = {(pr.profile, pr.label) for pr in counted}
-    searched = [(m1, False)] + [(connected_sum_profile(m1, m2, eps), True) for eps in (0.2, 0.1)]
+    searched = [(m1, False)] + [(prof, True) for prof in m_eps.values()]
+    bounded_out = 0
     for profile, with_fields in searched:
         for p in (0, 1):
             for prob in degree_problems(profile, 2, p, 40.0)[0]:
                 units = {(u.profile, u.label) for u in ((prob,) if with_fields else prob.slot_problems())}
-                assert units <= solved_keys or units <= counted_keys, (profile, prob.label)
-    # the full spectra below lam_max took 55 calls
-    assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 11
+                if not (units <= solved_keys or units <= counted_keys):
+                    assert prob.lower_bound() > lam_star[(profile, p)], (profile, prob.label)
+                    bounded_out += 1
+    assert bounded_out
+    # the full spectra below lam_max took 55 calls; the search takes 13, as
+    # the degree-1 exceptional channel (bound 0) comes first and is solved
+    # up to lam_max on M1 and each M_eps
+    assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 13
 
 
 def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
@@ -456,7 +477,7 @@ def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
     # the Sturm counts see values below lam*, so those channels are solved
     # and the solvers' disagreement is reported, not skipped
     m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
-    first = min(degree_problems(m_eps, 2, 0, 40.0)[0], key=lambda pr: pr.min_potential()).label
+    first = min(degree_problems(m_eps, 2, 0, 40.0)[0], key=lambda pr: pr.lower_bound()).label
     fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
 
     def missed(pr, *a, **kw):

@@ -19,6 +19,7 @@ from conesum.radial.fem import (
     _check_resolution,
     band_to_sparse,
     fem_spectrum,
+    inertia_count,
     inverse_iteration,
     make_mesh,
     refine_mesh,
@@ -309,7 +310,7 @@ def test_channel_lower_bound():
     ):
         for p in (0, 1):
             for prob in problems_for(profile, 2, p):
-                floor = prob.min_potential() / profile.r_max**2
+                floor = prob.lower_bound()
                 if floor <= 0:
                     continue
                 vals = fem_spectrum(prob, MESH, 40.0).values()
@@ -317,18 +318,44 @@ def test_channel_lower_bound():
                     assert vals[0] >= floor * (1.0 - 1e-9)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="c / R_max^2 is no bound for n = 3: the constant mode has c = 3/4")
+# tip -> r = 1 -> neck r = 0.25 -> absolute end r = 1.25; at n = 3 the
+# constant mode's c / R_max^2 = 0.48 exceeds its first eigenvalue 0.2530
+NECKED = geo.Profile(
+    segments=(geo.Segment(0.0, 1.0, +1), geo.Segment(0.25, 1.0, -1), geo.Segment(0.25, 1.25, +1)),
+    start_bc=BCKind.REGULAR_TIP,
+    end_bc=BCKind.ABSOLUTE,
+)
+
+
 def test_channel_bound_holds_on_a_necked_profile():
-    # degree_problems excludes a channel below lam_max by this bound; here
-    # it drops the first positive eigenvalue on functions, 0.253 < 0.48
-    necked = geo.Profile(
-        segments=(geo.Segment(0.0, 1.0, +1), geo.Segment(0.25, 1.0, -1), geo.Segment(0.25, 1.25, +1)),
-        start_bc=BCKind.REGULAR_TIP,
-        end_bc=BCKind.ABSOLUTE,
-    )
-    prob = find_problem(necked, 3, 0, "kH")
-    vals = fem_spectrum(prob, MeshSpec(h=0.1), 25.0).values()
-    assert vals[1] >= prob.min_potential() / necked.r_max**2
+    # every slot's first positive value is at least mu^2 / R_max^2
+    from conesum.analysis import _slot_spectrum
+
+    mesh, cache = MeshSpec(h=0.1), {}
+    for p in range(5):
+        for slot in (s for prob in problems_for(NECKED, 3, p, 25.0) for s in prob.slot_problems()):
+            pos = _slot_spectrum(slot, 25.0, "fem", mesh, cache)
+            assert not pos or pos[0].value >= slot.lower_bound(), slot.label
+    # where c / R_max^2 fails: 0.2530 < 0.48 on the constants
+    const = find_problem(NECKED, 3, 0, "kH")
+    assert _slot_spectrum(const, 25.0, "fem", mesh, cache)[0].value < const.potential[0, 0] / NECKED.r_max**2
+
+
+def test_searches_stop_at_the_bound_on_a_necked_profile():
+    # the stop at mu^2 / R_max^2 > lam*, at n = 3 where c != mu^2: the first
+    # positive exact value is the least of the exact-form spectra, and the
+    # k-lowest search gives the first 3 positive values of each degree
+    from conesum.analysis import _degree_spectrum, assemble_spectrum, exact_form_spectrum, first_positive_exact
+
+    mesh = MeshSpec(h=0.1)
+    for p in range(1, 4):
+        assert first_positive_exact(NECKED, 3, p, mesh) == pytest.approx(
+            exact_form_spectrum(NECKED, 3, p, 25.0, mesh)[0], rel=1e-10
+        ), p
+    for p in range(5):
+        whole = assemble_spectrum(NECKED, 3, p, 25.0, mesh=mesh).positive_values()
+        part = _degree_spectrum(NECKED, 3, p, 25.0, 3, "fem", mesh, False, {}).positive_values()
+        assert len(part) >= 3 and part == pytest.approx(whole[: len(part)], rel=1e-10), p
 
 
 def test_secular_method_keeps_close_pairs():
@@ -360,7 +387,8 @@ def test_zero_modes_do_not_depend_on_lam_max():
 
 def test_zero_mode_of_a_thin_cylinder_is_enumerated():
     # the volume form of S^2 on [0.15625, 0.3125] x S^2 with absolute ends is
-    # harmonic, though its channel's c / R_max^2 = 20.48 exceeds lam_max
+    # harmonic: its channel's c / R_max^2 = 20.48 exceeds lam_max, but its
+    # lower bound mu^2 / R_max^2 is 0
     from conesum.analysis import assemble_spectrum
 
     thin = geo.Profile(segments=(geo.Segment(0.15625, 0.3125, -1),), start_bc=BCKind.ABSOLUTE, end_bc=BCKind.ABSOLUTE)
@@ -715,19 +743,43 @@ some_mirrored = st.one_of(
 )
 
 
+def dirichlet_ends(profile):
+    """The profile with each end that is not a tip made Dirichlet-like."""
+    bc = {end: end if end is BCKind.REGULAR_TIP else BCKind.DIRICHLET_LIKE for end in BCKind}
+    return dataclasses.replace(profile, start_bc=bc[profile.start_bc], end_bc=bc[profile.end_bc])
+
+
+@settings(max_examples=20, deadline=None)
+@given(profile=st.one_of(some_mirrored, some_mirrored.map(dirichlet_ends)), n=st.sampled_from([2, 3]))
+def test_channel_bound_on_random_profiles(profile, n):
+    # below lower_bound() = mu^2 / R_max^2 a scalar slot has only its zero
+    # modes (exact Sturm count), and a coupled channel at most that many
+    # coarse FEM values (inertia count)
+    nodes = make_mesh(profile, MeshSpec(h=0.1))
+    for p in range(n + 2):
+        for prob in problems_for(profile, n, p, 10.0):
+            cap = (1.0 - 1e-9) * prob.lower_bound()
+            if cap <= 0.0:
+                continue
+            kernel_dim = first_order_kernel(prob).dim
+            if prob.size == 1:
+                assert eigen_count(prob, cap) == kernel_dim, prob.label
+            else:
+                K, M, _ = _assemble(prob, nodes)
+                assert inertia_count(K, M, cap) <= kernel_dim, prob.label
+
+
 @settings(max_examples=6, deadline=None)
 @given(profile=some_mirrored, n=st.sampled_from([2, 3]))
 def test_first_positive_exact_matches_whole_spectrum_on_random_profiles(profile, n):
-    from conesum.analysis import FIRST_EXACT_BOUND, assemble_spectrum, exact_form_spectrum, first_positive_exact
+    from conesum.analysis import assemble_spectrum, exact_form_spectrum, first_positive_exact
 
     mesh = MeshSpec(h=0.1)
     for p in range(n + 1):
         lam = first_positive_exact(profile, n, p, mesh)
-        # not below the search's first enumeration bound, where the search
-        # solved its first slot: below it, the channel bound c / R_max^2 can
-        # exclude a channel holding the value
-        # (test_channel_bound_holds_on_a_necked_profile)
-        cap = max(1.5 * lam, FIRST_EXACT_BOUND * max(1.0, profile.r_max**-2))
+        # the enumeration up to any cap above lam holds it, by the bound
+        # mu^2 / R_max^2 (test_channel_bound_on_random_profiles)
+        cap = 1.5 * lam
         if p:
             whole = exact_form_spectrum(profile, n, p, cap, mesh)
         else:
