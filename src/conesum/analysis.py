@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import takewhile
 
 import numpy as np
 
@@ -97,16 +98,17 @@ def assemble_spectrum(
     (``ChannelProblem.slot_problems``): a coupled PLUS_HALF problem in degree
     q+1 has the positive spectrum of its alpha slot (degree q) and its beta
     slot (degree q+2).  Each distinct radial ODE (``ChannelProblem.ode_key``)
-    is solved once per ``_slot_cache`` and looked up afterwards, so callers
-    looping over degrees pass one dict and dual degrees share its solves;
-    with method="both" each ODE's FEM eigenvalues are checked once against
-    the secular solver (equal counts, agreement to CROSS_RTOL, else
-    SolverDisagreementError).  Zero modes are counted analytically from the
-    harmonic matching systems; FEM's first that many eigenvalues per slot
-    are its zero modes, once its spectrum shows a gap there
-    (``_positive_entries``).  Reported eigenvalues come from FEM unless
-    method="secular".  A coupled problem with Dirichlet-like or APS ends
-    raises DomainError, since its slots do not carry its spectrum there.
+    is solved once per ``_slot_cache``, up to the highest cap asked of it,
+    and read from there at any lower cap (``_slot_spectrum``), so callers
+    looping over degrees, or a whole run, pass one dict and dual degrees
+    share its solves; with method="both" each solve's FEM eigenvalues are
+    checked against the secular solver (equal counts, agreement to
+    CROSS_RTOL, else SolverDisagreementError).  Zero modes are counted
+    analytically from the harmonic matching systems; FEM's first that many
+    eigenvalues per slot are its zero modes, once its spectrum shows a gap
+    there (``_positive_entries``).  Reported eigenvalues come from FEM
+    unless method="secular".  A coupled problem with Dirichlet-like or APS
+    ends raises DomainError, since its slots do not carry its spectrum there.
     """
     cache = _slot_cache if _slot_cache is not None else {}
     return _degree_spectrum(profile, n, p, lam_max, None, method, mesh or MeshSpec(), False, cache)
@@ -244,31 +246,38 @@ def _slot_spectrum(
     mesh: MeshSpec,
     cache: dict,
 ) -> list[Eigenvalue]:
-    """Positive eigenvalues of one scalar slot problem, solved once per
-    distinct radial ODE in the cache.
+    """Positive eigenvalues up to lam_max of one scalar slot problem, solved
+    once per distinct radial ODE in the cache.
 
-    The key is the slot's ``ode_key``, so slots of different labels that are
-    one ODE (Hodge-dual slots of a closed profile, for one) share a solve,
-    and with method="both" its cross-check; the entries keep the slot first
-    solved as their problem.  A hit whose slot has another kernel dimension
-    than the one solved raises ZeroModeMismatchError.
+    The key is the slot's ``ode_key`` with the method and mesh, so slots of
+    different labels that are one ODE (Hodge-dual slots of a closed profile,
+    for one) share a solve; the entries keep the slot that was solved as
+    their problem.  The cache holds the solver's list and the cap it was solved
+    to.  A request at a higher cap solves again and replaces it (with
+    method="both" each solve is cross-validated); one at a cap no higher
+    reads the list up to its cap, as a fresh solve returns it, and reruns
+    ``_positive_entries``, whose gap test is stricter at a lower cap.  A
+    slot with another kernel dimension than the one solved raises
+    ZeroModeMismatchError.
     """
-    key = (slot.ode_key, lam_max, method, mesh)
+    key = (slot.ode_key, method, mesh)
     kernel_dim = first_order_kernel(slot).dim
-    if key not in cache:
-        if method == "secular":
-            pos = transfer_spectrum(slot, lam_max).entries
-        else:
-            pos = _positive_entries(slot, fem_spectrum(slot, mesh, lam_max), kernel_dim, lam_max)
-            if method == "both":
-                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values())
-        cache[key] = (slot.label, kernel_dim, pos)
-    label, solved_dim, pos = cache[key]
-    if solved_dim != kernel_dim:
+    hit = cache.get(key)
+    if hit is not None and hit[1] != kernel_dim:
         raise ZeroModeMismatchError(
-            f"{slot.label} and {label} are one radial ODE but have kernel dimensions {kernel_dim} and {solved_dim}"
+            f"{slot.label} and {hit[0]} are one radial ODE but have kernel dimensions {kernel_dim} and {hit[1]}"
         )
-    return pos
+    if hit is None or hit[2] < lam_max:
+        if method == "secular":
+            solved = transfer_spectrum(slot, lam_max)
+        else:
+            solved = fem_spectrum(slot, mesh, lam_max)
+            if method == "both":
+                pos = _positive_entries(slot, solved, kernel_dim, lam_max)
+                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values())
+        cache[key] = hit = (slot.label, kernel_dim, lam_max, solved)
+    below = EigList(entries=list(takewhile(lambda e: e.value <= lam_max, hit[3].entries)))
+    return below.entries if method == "secular" else _positive_entries(slot, below, kernel_dim, lam_max)
 
 
 def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, lam_max: float) -> list:
@@ -357,18 +366,21 @@ def first_positive_exact(profile, n, p, mesh=None, _slot_cache=None) -> float:
     k = 1, so each slot is solved up to the least value so far, lam*, or
     skipped by its lower bound or by a count.  The enumeration bound starts
     at FIRST_EXACT_BOUND at unit radius and grows fourfold until a slot has
-    a value.  One ``_slot_cache`` solves each distinct radial ODE once per
-    cap.
+    a value.  The answer is kept in ``_slot_cache`` under (profile, n,
+    max(p, 1), mesh) beside the slot solves, so one dict searches each
+    profile and degree once.
     """
     mesh = mesh or MeshSpec()
     cache = _slot_cache if _slot_cache is not None else {}
+    key = (profile, n, max(p, 1), mesh)
     bound = FIRST_EXACT_BOUND * max(1.0, 1.0 / profile.r_max**2)
-    while True:
+    while key not in cache:
         entries, _ = _lowest(_exact_slots(profile, n, max(p, 1), bound), bound, 1, "fem", mesh, False, cache)
         first = _kth_positive(entries, 1)
         if first is not None:
-            return first.value
+            cache[key] = first.value
         bound *= 4.0
+    return cache[key]
 
 
 def partition_gradient_constant(eps: float) -> float:
@@ -392,30 +404,34 @@ class McGowanReport:
 
 
 def mcgowan_report(
-    m_eps: Profile,
+    m1: Profile,
+    m2: Profile,
     n: int,
     p: int,
     eps: float,
     mesh: MeshSpec | None = None,
-    _unit_cache: dict | None = None,
+    _slot_cache: dict | None = None,
 ) -> McGowanReport:
-    """Evaluate the Mayer-Vietoris bound on the standard cover of m_eps.
+    """Evaluate the Mayer-Vietoris bound on the standard cover of
+    connected_sum_profile(m1, m2, eps).
 
     mu^p(U) is the first positive eigenvalue on exact p-forms of the cover
     element with absolute boundary conditions; for p = 1 the U12 input is the
     first positive Neumann eigenvalue on functions; first_positive_exact's
-    search finds each.  U2 and U12 are exact eps-scalings of unit-size
-    profiles, so they are solved once at unit scale and rescaled by 1/eps^2
-    (cached across the sweep via ``_unit_cache``).  The bound takes omega =
-    MCGOWAN_OMEGA and c_rho = partition_gradient_constant(eps), that of the
-    log-linear partition of unity on U12.
+    search finds each.  cover_profiles gives U2 and U12 at unit scale, so
+    their values are divided by eps^2, and one ``_slot_cache`` searches each
+    unit piece once for all eps (U12's degrees 0 and 1 are one search).  The
+    bound takes omega = MCGOWAN_OMEGA and c_rho =
+    partition_gradient_constant(eps), that of the log-linear partition of
+    unity on U12.
     """
     if not 1 <= p <= n:
         raise DomainError(f"McGowan bound applies for 1 <= p <= n, got p={p}")
-    mesh = mesh or MeshSpec()
-    mu1 = first_positive_exact(cover_profiles(m_eps, eps)[0], n, p, mesh)
-    cache = _unit_cache if _unit_cache is not None else {}
-    mu2, mu12 = (mu / eps**2 for mu in _unit_cover_inputs(m_eps, n, p, eps, mesh, cache, {}))
+    cache = _slot_cache if _slot_cache is not None else {}
+    u1, u2, u12 = cover_profiles(m1, m2, eps)
+    mu1 = first_positive_exact(u1, n, p, mesh, cache)
+    mu2 = first_positive_exact(u2, n, p, mesh, cache) / eps**2
+    mu12 = first_positive_exact(u12, n, p - 1, mesh, cache) / eps**2
     c_rho = partition_gradient_constant(eps)
     return McGowanReport(
         eps=eps,
@@ -427,18 +443,6 @@ def mcgowan_report(
         c_rho=c_rho,
         bound=mcgowan_bound(mu1, mu2, mu12, MCGOWAN_OMEGA, c_rho),
     )
-
-
-def _unit_cover_inputs(m_eps, n, p, eps, mesh, cache: dict, slot_cache: dict) -> tuple[float, float]:
-    """Unit-scale mu^p(U2) and mu^{p-1}(U12), which do not depend on eps, cached
-    under ("u2", p) and ("u12", p - 1); ``slot_cache`` lets U12's degrees share slots."""
-    _, u2, u12 = cover_profiles(m_eps, eps)
-    key_u2, key_u12 = ("u2", p), ("u12", p - 1)
-    if key_u2 not in cache:
-        cache[key_u2] = first_positive_exact(u2.scaled(1.0 / eps), n, p, mesh, slot_cache)
-    if key_u12 not in cache:
-        cache[key_u12] = first_positive_exact(u12.scaled(1.0 / eps), n, p - 1, mesh, slot_cache)
-    return cache[key_u2], cache[key_u12]
 
 
 # ---------------------------------------------------------------------------
@@ -564,16 +568,15 @@ class SweepReport:
     meta: dict
 
 
-def _sweep_one_eps(args: tuple) -> tuple:
-    """McGowan reports and, per degree, the zero-mode count, the k_track
-    lowest positive eigenvalues of M_eps and their boundary diagnostics at
-    one eps.  Each degree's values come from the search ``_degree_spectrum``
-    with fields, and each diagnostic from the eigenform its value's entry
-    carries (None without one, as with method="secular").  Only numbers
-    return, so the pencils behind the fields end with the task."""
-    (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, cache) = args
+def _sweep_one_eps(args: tuple) -> dict:
+    """Per degree, the zero-mode count, the k_track lowest positive
+    eigenvalues of M_eps and their boundary diagnostics at one eps.  Each
+    degree's values come from the search ``_degree_spectrum`` with fields,
+    and each diagnostic from the eigenform its value's entry carries (None
+    without one, as with method="secular").  Only numbers return, so the
+    pencils behind the fields end with the task."""
+    (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method) = args
     m_eps = connected_sum_profile(m1, m2, eps)
-    mcg = {p: mcgowan_report(m_eps, n, p, eps, mesh, cache) for p in range(1, n + 1)}
     tracked = {}
     for p in degrees:
         res = _degree_spectrum(m_eps, n, p, lam_max, k_track, method, mesh, True, {})
@@ -582,7 +585,7 @@ def _sweep_one_eps(args: tuple) -> tuple:
             boundary_diagnostics(e.field, eps, n, e.value) if e.field is not None else None for e in entries
         ]
         tracked[p] = (res.zero_count, [e.value for e in entries], diagnostics)
-    return eps, mcg, tracked
+    return tracked
 
 
 def sweep_epsilon(
@@ -602,46 +605,39 @@ def sweep_epsilon(
     The rows report the k_track lowest positive eigenvalues of each degree,
     so neither M1 nor any M_eps is solved up to lam_max: ``_degree_spectrum``
     solves, per degree, only the channels that can hold one of them, as
-    assemble_spectrum solves them (M1 through one slot cache, each M_eps
-    with fields).  ``method`` and ``mesh`` go to both.  The McGowan bounds,
-    for p = 1..n, come from mcgowan_report.  The report's checks use
-    TAKA_MARGIN and FINAL_REL_TOL at the last eps.
+    assemble_spectrum solves them (M1 through its slots, each M_eps with
+    fields).  ``method`` and ``mesh`` go to both.  The McGowan bounds, for
+    p = 1..n and every eps, come from mcgowan_report.  One slot cache serves
+    M1 and every McGowan report, so each radial ODE and each cover piece is
+    solved once per run.  The report's checks use TAKA_MARGIN and
+    FINAL_REL_TOL at the last eps.
 
-    With jobs > 1 the per-epsilon work runs in a process pool; every task is a
-    pure function, so the aggregated report is identical for any job count.
+    With jobs > 1 the per-epsilon M_eps work runs in a process pool, after
+    the McGowan reports; every task is a pure function, so the aggregated
+    report is identical for any job count.
     """
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilons must be strictly decreasing")
     mesh = mesh or MeshSpec()
     rows: list[SweepRow] = []
     diagnostics: dict = {}
-    mcg: dict = {}
     zero_counts: dict = {}
 
-    slot_cache: dict = {}
-    ref = {p: _degree_spectrum(m1, n, p, lam_max, k_track, method, mesh, False, slot_cache) for p in degrees}
-
-    # unit-scale cover pieces are eps-independent: fill the cache once
-    unit_cache: dict = {}
-    unit_slots: dict = {}
-    m_eps0 = connected_sum_profile(m1, m2, epsilons[0])
-    for p in range(1, n + 1):
-        _unit_cover_inputs(m_eps0, n, p, epsilons[0], mesh, unit_cache, unit_slots)
-    tasks = [(m1, m2, n, degrees, eps, lam_max, k_track, mesh, method, unit_cache) for eps in epsilons]
+    cache: dict = {}
+    ref = {p: _degree_spectrum(m1, n, p, lam_max, k_track, method, mesh, False, cache) for p in degrees}
+    mcg = {(eps, p): mcgowan_report(m1, m2, n, p, eps, mesh, cache) for eps in epsilons for p in range(1, n + 1)}
+    tasks = [(m1, m2, n, degrees, eps, lam_max, k_track, mesh, method) for eps in epsilons]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = {r[0]: r for r in pool.map(_sweep_one_eps, tasks)}
+            results = dict(zip(epsilons, pool.map(_sweep_one_eps, tasks)))
     else:
-        results = {r[0]: r for r in map(_sweep_one_eps, tasks)}
+        results = dict(zip(epsilons, map(_sweep_one_eps, tasks)))
 
     for eps in epsilons:
-        _, mcg_eps, tracked = results[eps]
-        for p, rep in mcg_eps.items():
-            mcg[(eps, p)] = rep
         for p in degrees:
-            zero_count, values, diags = tracked[p]
+            zero_count, values, diags = results[eps][p]
             zero_counts[(eps, p)] = zero_count
             ref_pos = ref[p].positive_values()
             mcg_val = mcg[(eps, p)].bound if (eps, p) in mcg else float("nan")

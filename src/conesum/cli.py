@@ -290,10 +290,10 @@ def _cmd_mcgowan(cfg: RunConfig, out: Path, fmt: str, **_):
     rows = []
     failures = []
     cache: dict = {}
+    m1, m2 = cfg.m1(), cfg.m2()
     for eps in cfg.epsilons:
-        m_eps = connected_sum_profile(cfg.m1(), cfg.m2(), eps)
         for p in range(1, cfg.n + 1):
-            rep = mcgowan_report(m_eps, cfg.n, p, eps, cfg.mesh(), _unit_cache=cache)
+            rep = mcgowan_report(m1, m2, cfg.n, p, eps, cfg.mesh(), _slot_cache=cache)
             rows.append([eps, p, rep.mu_p_u1, rep.mu_p_u2, rep.mu_pm1_u12, rep.omega, rep.c_rho, rep.bound])
             if rep.bound <= 0:
                 failures.append(f"nonpositive bound at eps={eps}, p={p}")

@@ -196,8 +196,10 @@ def truncated_spindle(radius: float, cut: float = 1.0, bc: BCKind = BCKind.ABSOL
     """Spindle with the ball of radius ``cut`` removed around one tip.
 
     The boundary sphere has radius ``cut`` and the collar next to it is an
-    exact cone, so after scaling by eps it glues isometrically onto the
-    eps-sphere of a conical tip.
+    exact cone that grows away from it, so after scaling by eps it glues
+    isometrically onto the eps-sphere of a conical tip, with the gluing
+    sphere a radial minimum (the growing-collar rule of
+    :func:`connected_sum_profile`).
     """
     if not 0 < cut < radius:
         raise DomainError(f"need 0 < cut < radius, got cut={cut}, radius={radius}")
@@ -242,15 +244,19 @@ def build_profile(spec: dict) -> Profile:
 def connected_sum_profile(m1: Profile, m2: Profile, eps: float) -> Profile:
     """The collapsing connected sum: m1 minus its eps-ball, glued to eps.m2.
 
-    ``m1`` must start with a tip whose cone reaches radius >= eps; ``m2``
-    must start with a boundary at radius 1.  All radii of m2 are scaled by
-    eps and the glued chain runs from m2's far end through the radial-minimum
-    seam at radius eps into m1.
+    ``m1`` must start with a tip whose cone reaches radius > 2 eps; ``m2``
+    must start with a boundary at radius 1 and a growing collar (its first
+    segment's radius grows away from the boundary), else DomainError.  All
+    radii of m2 are scaled by eps and the glued chain runs from m2's far end
+    through the radial-minimum seam at radius eps into m1; a shrinking
+    collar would leave no seam there.
     """
     if m1.start_bc is not BCKind.REGULAR_TIP:
         raise DomainError("m1 must start with a tip (the gluing point)")
     if m2.start_bc is BCKind.REGULAR_TIP or abs(m2.start_radius - 1.0) > _TOL:
         raise DomainError("m2 must start with a boundary at radius 1")
+    if m2.segments[0].orientation < 0:
+        raise DomainError("m2 must start with a growing collar: its radius must grow away from the boundary")
     if not 0 < eps < min(1.0, m1.segments[0].r_hi) / 2.0:
         raise DomainError(f"eps={eps} out of range (0, min(1, R1)/2)")
     part2 = m2.scaled(eps).reversed()  # now runs ... down to radius eps at its end
@@ -264,35 +270,23 @@ def connected_sum_profile(m1: Profile, m2: Profile, eps: float) -> Profile:
     )
 
 
-def cover_profiles(m_eps: Profile, eps: float) -> tuple[Profile, Profile, Profile]:
-    """The Mayer-Vietoris cover (U1, U2, U12) of a connected sum.
+def cover_profiles(m1: Profile, m2: Profile, eps: float) -> tuple[Profile, Profile, Profile]:
+    """The Mayer-Vietoris cover (U1, U2, U12) of connected_sum_profile(m1, m2, eps),
+    with U2 and U12 at unit scale.
 
-    U1 is m1 minus the eps-ball, U2 extends the scaled m2 by the annulus
-    [eps, 2 eps] of m1's cone, and U12 is that annulus; every exposed cut
-    carries the absolute boundary condition.
+    U1 is m1 minus its eps-ball, the m1 part of the connected sum.  U2 (the
+    scaled m2 extended by the annulus [eps, 2 eps] of m1's cone) and U12
+    (that annulus) are eps times the returned profiles: m2 reversed followed
+    by the cone segment [1, 2], and annulus(1, 2); so only U1 changes with
+    eps beyond a scaling.  Every exposed cut carries the absolute boundary
+    condition.  The checks of connected_sum_profile apply, and its eps range
+    keeps [eps, 2 eps] inside m1's first cone.
     """
-    idx = next(
-        (i for i, s in enumerate(m_eps.seams) if s.kind is SeamKind.RADIAL_MIN and abs(s.radius - eps) <= _TOL),
-        None,
-    )
-    if m_eps.glue_radius is None or abs(m_eps.glue_radius - eps) > _TOL or idx is None:
-        raise DomainError("profile was not built by connected_sum_profile at this eps")
-    n_m2 = idx + 1  # segments belonging to the scaled m2
-    m1_first = m_eps.segments[n_m2]
-    if m1_first.r_hi < 2 * eps:
-        raise DomainError("m1 cone too short for the [eps, 2 eps] annulus")
-    u1 = Profile(
-        segments=(Segment(eps, m1_first.r_hi, +1),) + m_eps.segments[n_m2 + 1 :],
-        start_bc=BCKind.ABSOLUTE,
-        end_bc=m_eps.end_bc,
-    )
-    u2 = Profile(
-        segments=m_eps.segments[:n_m2] + (Segment(eps, 2 * eps, +1),),
-        start_bc=m_eps.start_bc,
-        end_bc=BCKind.ABSOLUTE,
-    )
-    u12 = annulus(eps, 2 * eps)
-    return u1, u2, u12
+    m_eps = connected_sum_profile(m1, m2, eps)
+    u1 = Profile(segments=m_eps.segments[len(m2.segments) :], start_bc=BCKind.ABSOLUTE, end_bc=m1.end_bc)
+    back = m2.reversed()
+    u2 = Profile(segments=back.segments + (Segment(1.0, 2.0, +1),), start_bc=back.start_bc, end_bc=BCKind.ABSOLUTE)
+    return u1, u2, annulus(1.0, 2.0)
 
 
 def split_segment(profile: Profile, seg_index: int, radius: float) -> Profile:

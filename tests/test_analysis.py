@@ -178,26 +178,31 @@ def test_slot_cache_rejects_a_hit_with_another_kernel_dimension(monkeypatch):
 
 
 def test_unit_cover_inputs_solve_each_slot_once(monkeypatch):
-    # mu^0(U12) for p = 1 and mu^1(U12) for p = 2 share U12's degree-0 slots
+    # U2 and U12 come at unit scale, so over an eps ladder each unit ODE is
+    # solved once, at the first eps; mu^0(U12) for p = 1 and mu^1(U12) for
+    # p = 2 are one search
     import conesum.analysis as analysis
 
-    eps = 0.1
-    prof = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps)
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    _, u2, u12 = cover_profiles(m1, m2, 0.2)
     solved = []
     real = analysis.fem_spectrum
 
     def counting(prob, *args, **kwargs):
-        solved.append((prob.profile, prob.label))
+        solved.append(prob.ode_key)
         return real(prob, *args, **kwargs)
 
     monkeypatch.setattr(analysis, "fem_spectrum", counting)
     cache: dict = {}
-    slots: dict = {}
-    for p in (1, 2):
-        analysis._unit_cover_inputs(prof, 2, p, eps, MESH, cache, slots)
-    assert sorted(cache) == [("u12", 0), ("u12", 1), ("u2", 1), ("u2", 2)]
+    unit_solves = []
+    for eps in (0.2, 0.1, 0.05, 0.025):
+        reps = [mcgowan_report(m1, m2, 2, p, eps, MESH, _slot_cache=cache) for p in (1, 2)]
+        assert reps[0].mu_pm1_u12 == reps[1].mu_pm1_u12
+        unit_solves.append(sum(key[0] in (u2, u12) for key in solved))
+    assert unit_solves[0] > 0 and set(unit_solves) == {unit_solves[0]}
     assert len(solved) == len(set(solved))
-    assert cache[("u12", 1)] == pytest.approx(cache[("u12", 0)], rel=1e-9)
+    searched = {key[:3] for key in cache if len(key) == 4}
+    assert {(u2, 2, 1), (u2, 2, 2), (u12, 2, 1)} <= searched and (u12, 2, 0) not in searched
 
 
 def test_coupled_problems_without_slot_reduction():
@@ -249,8 +254,7 @@ DEFAULT_SWEEP_MCGOWAN = {
 def test_default_sweep_mcgowan_inputs_are_frozen():
     cache: dict = {}
     for (eps, p), frozen in DEFAULT_SWEEP_MCGOWAN.items():
-        m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps)
-        rep = mcgowan_report(m_eps, 2, p, eps, MESH, _unit_cache=cache)
+        rep = mcgowan_report(spindle(1.0), truncated_spindle(2.0, 1.0), 2, p, eps, MESH, _slot_cache=cache)
         assert (rep.mu_p_u1, rep.mu_p_u2, rep.mu_pm1_u12, rep.bound) == pytest.approx(frozen, rel=1e-10)
 
 
@@ -260,8 +264,7 @@ def test_first_positive_exact_solves_only_slots_that_can_win(monkeypatch):
     import conesum.analysis as analysis
 
     eps = 0.2
-    u2 = cover_profiles(connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps), eps)[1]
-    u2 = u2.scaled(1.0 / eps)
+    u2 = cover_profiles(spindle(1.0), truncated_spindle(2.0, 1.0), eps)[1]
     solved = []
     real = analysis.fem_spectrum
     monkeypatch.setattr(analysis, "fem_spectrum", lambda prob, *args: solved.append(prob) or real(prob, *args))
@@ -269,6 +272,20 @@ def test_first_positive_exact_solves_only_slots_that_can_win(monkeypatch):
     assert lam == pytest.approx(DEFAULT_SWEEP_MCGOWAN[(eps, 2)][1] * eps**2, rel=1e-10)
     assert len(solved) == 2
     assert all(prob.lower_bound() <= lam for prob in solved)
+
+
+@pytest.mark.parametrize("summand", ["m1", "m2"])
+def test_mcgowan_report_invariant_under_split_segment(summand):
+    # a smooth breakpoint in either summand changes neither the cover nor
+    # its bound
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    split = (geo.split_segment(m1, 0, 0.5), m2) if summand == "m1" else (m1, geo.split_segment(m2, 0, 1.5))
+    whole_cache: dict = {}
+    split_cache: dict = {}
+    for p in (1, 2):
+        whole = mcgowan_report(m1, m2, 2, p, 0.1, MESH, _slot_cache=whole_cache)
+        refined = mcgowan_report(*split, 2, p, 0.1, MESH, _slot_cache=split_cache)
+        assert refined.bound == pytest.approx(whole.bound, rel=1e-9), p
 
 
 def test_mcgowan_formula_examples():
@@ -288,14 +305,16 @@ def test_partition_gradient_constant():
 
 
 def test_annulus_scaling_of_cover_eigenvalue():
-    # mu^{p-1}(U12) scales exactly as eps^-2 under the annulus scaling
+    # mu^{p-1}(U12) scales exactly as eps^-2: the cover's U12, the annulus
+    # [eps, 2 eps], is eps times the unit piece that mcgowan_report solves
     m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
-    vals = {}
+    unit = cover_profiles(m1, m2, 0.2)[2]
+    lam = assemble_spectrum(unit, 2, 0, 25.0, mesh=MESH).positive_values()[0]
     for eps in (0.2, 0.1):
-        u12 = cover_profiles(connected_sum_profile(m1, m2, eps), eps)[2]
-        res = assemble_spectrum(u12.scaled(1.0 / eps), 2, 0, 25.0, mesh=MESH)
-        vals[eps] = res.positive_values()[0] / eps**2
-    assert vals[0.2] * 0.2**2 == pytest.approx(vals[0.1] * 0.1**2, rel=1e-9)
+        assert cover_profiles(m1, m2, eps)[2] == unit
+        u12 = geo.annulus(eps, 2 * eps)
+        res = assemble_spectrum(u12, 2, 0, 25.0 / eps**2, mesh=MESH.scaled(eps))
+        assert res.positive_values()[0] * eps**2 == pytest.approx(lam, rel=1e-9)
 
 
 def test_exact_forms_recursion():
@@ -466,10 +485,14 @@ def test_sweep_solves_or_counts_every_channel(monkeypatch):
                     assert prob.lower_bound() > lam_star[(profile, p)], (profile, prob.label)
                     bounded_out += 1
     assert bounded_out
-    # the full spectra below lam_max took 55 calls; the search takes 13, as
+    # one solve per scalar ODE in the run (McGowan's cover pieces included):
+    # a lower cap reads the solve at a higher one
+    scalar = [pr.ode_key for pr in solved if pr.size == 1]
+    assert len(scalar) == len(set(scalar))
+    # the full spectra below lam_max took 55 calls; the search takes 12, as
     # the degree-1 exceptional channel (bound 0) comes first and is solved
     # up to lam_max on M1 and each M_eps
-    assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 13
+    assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 12
 
 
 def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
@@ -607,10 +630,10 @@ def test_boundary_diagnostics_match_the_per_point_loops():
 
 def test_sweep_task_returns_only_numbers():
     # each degree's eigenforms, and the pencils they share, stay in the
-    # task: its result pickles to containers, numbers, the two reports and
+    # task: its result pickles to containers, numbers, the diagnostics and
     # their field names
     m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
-    result = analysis._sweep_one_eps((m1, m2, 2, [0, 1], 0.1, 20.0, 2, MESH, "fem", {}))
+    result = analysis._sweep_one_eps((m1, m2, 2, [0, 1], 0.1, 20.0, 2, MESH, "fem"))
     seen = set()
 
     class Spy(pickle.Pickler):
@@ -619,9 +642,8 @@ def test_sweep_task_returns_only_numbers():
 
     Spy(io.BytesIO()).dump(result)
     assert fem.FemField not in seen
-    assert seen <= {tuple, list, dict, str, int, float, type, analysis.McGowanReport, analysis.BoundaryDiagnostics}
-    _, _, tracked = result
-    for zero_count, values, diags in tracked.values():
+    assert seen <= {tuple, list, dict, str, int, float, type, analysis.BoundaryDiagnostics}
+    for zero_count, values, diags in result.values():
         assert len(values) == len(diags) == 2 and all(d is not None for d in diags)
 
 

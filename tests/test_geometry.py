@@ -9,6 +9,7 @@ from conesum.geometry import (
     BCKind,
     Profile,
     SeamKind,
+    Segment,
     annulus,
     build_profile,
     cone,
@@ -79,22 +80,30 @@ def test_connected_sum_scaling_compatibility():
 
 def test_cover_profiles():
     eps = 0.1
-    me = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), eps)
-    u1, u2, u12 = cover_profiles(me, eps)
+    m1, m2 = spindle(1.0), truncated_spindle(2.0, 1.0)
+    me = connected_sum_profile(m1, m2, eps)
+    u1, u2, u12 = cover_profiles(m1, m2, eps)
     assert u1.start_bc is BCKind.ABSOLUTE and u1.start_radius == eps
-    assert u2.end_bc is BCKind.ABSOLUTE and u2.end_radius == pytest.approx(2 * eps)
-    assert len(u12.segments) == 1
-    assert (u12.segments[0].r_lo, u12.segments[0].r_hi) == (eps, 2 * eps)
+    assert u1.segments == me.segments[len(m2.segments) :]
+    # U2 and U12 come at unit scale: the cover's are eps times these
+    assert u2.start_bc is m2.end_bc and u2.end_bc is BCKind.ABSOLUTE and u2.end_radius == 2.0
+    assert u2.segments[:-1] == m2.reversed().segments
+    assert u2.seams[-1].kind is SeamKind.RADIAL_MIN and u2.seams[-1].radius == 1.0
+    assert u12 == annulus(1.0, 2.0)
     # U1 and U2 overlap exactly on the annulus in the radial coordinate
-    total = u1.length + u2.length - u12.length
+    total = u1.length + eps * (u2.length - u12.length)
     assert total == pytest.approx(me.length)
 
 
-def test_cover_profiles_reject_a_glue_radius_without_its_seam():
-    # glue_radius says eps, but no radial-minimum seam lies at eps
-    tip = BCKind.REGULAR_TIP
-    with pytest.raises(DomainError, match="not built by connected_sum_profile"):
-        cover_profiles(Profile(spindle(1.0).segments, tip, tip, glue_radius=0.1), 0.1)
+def test_connected_sum_rejects_a_shrinking_collar():
+    # an m2 whose radius shrinks away from its boundary would glue with no
+    # radial-minimum seam at eps
+    m2 = Profile((Segment(0.5, 1.0, -1), Segment(0.0, 0.5, -1)), BCKind.ABSOLUTE, BCKind.REGULAR_TIP)
+    assert m2.start_radius == 1.0
+    with pytest.raises(DomainError, match="growing collar"):
+        connected_sum_profile(spindle(1.0), m2, 0.1)
+    with pytest.raises(DomainError, match="growing collar"):
+        cover_profiles(spindle(1.0), m2, 0.1)
 
 
 def test_seam_radii_positive_and_tips_zero():

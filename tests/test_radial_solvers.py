@@ -869,6 +869,39 @@ def test_zero_mode_counts_are_betti_numbers_on_random_profiles(profile, n):
         assert res.zero_count == betti.get(p, 0), p
 
 
+@settings(max_examples=10, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]), data=st.data())
+def test_slot_cache_reads_a_lower_cap_as_a_fresh_solve_on_random_profiles(profile, n, data):
+    # a slot solved up to one cap and then asked for a lower one gives what a
+    # fresh solve at the lower cap gives, and raises ZeroModeMismatchError
+    # exactly when that does: the gap test is stricter at a lower cap
+    # (draws where FEM does not converge near a small radius are discarded)
+    from conesum.analysis import _slot_spectrum
+
+    mesh = MeshSpec(h=0.1)
+    method = data.draw(st.sampled_from(["fem", "secular"]))
+    # a cap among the eigenvalues, or one so low that zero modes fail the gap test
+    low = 15.0 * data.draw(st.one_of(st.floats(0.01, 1.0), st.floats(6.0, 16.0).map(lambda x: 10.0**-x)))
+    cache: dict = {}
+
+    def read(slot, cap, cache):
+        try:
+            return [(e.value, e.index) for e in _slot_spectrum(slot, cap, method, mesh, cache)]
+        except ConvergenceError:
+            reject()
+        except ZeroModeMismatchError:
+            return None
+
+    for p in range(n + 2):
+        for slot in (s for prob in problems_for(profile, n, p, 15.0) for s in prob.slot_problems()):
+            read(slot, 15.0, cache)
+            fresh, cached = read(slot, low, {}), read(slot, low, cache)
+            assert (cached is None) == (fresh is None), slot.label
+            if fresh is not None:
+                assert [i for _, i in cached] == [i for _, i in fresh], slot.label
+                assert [v for v, _ in cached] == pytest.approx([v for v, _ in fresh], rel=1e-12, abs=1e-12)
+
+
 @st.composite
 def closed_profiles(draw):
     """A tip, 0-2 conical segments and another tip: a closed manifold."""
