@@ -21,11 +21,16 @@ straight into LAPACK's upper band storage.  End conditions only drop end
 dofs, by the per-slot mask of ``ChannelProblem.endpoint``, so the kept dofs
 are renumbered in order.
 :func:`inertia_count` counts the eigenvalues below a cap by Sylvester's law
-of inertia (spectrum slicing, Ericsson-Ruhe 1980); :func:`solve_pencil`
-computes that many, values only, by shift-invert ARPACK on a banded
-Cholesky; :func:`inverse_iteration` gives one eigenvector.  They are the
-only eigensolvers of the package; the Sturm-Liouville oracle assembles its
-own pencil with :func:`band_assemble` and solves it here too.
+of inertia (spectrum slicing, Ericsson-Ruhe 1980).  A scalar pencil's
+midpoint block is diagonal, so by Haynsworth's inertia additivity that count
+is its negative pivots plus a Sturm count (LAPACK ``dstebz``; Barth, Martin
+and Wilkinson 1967) of the tridiagonal vertex Schur complement.  A coupled
+pencil condenses to a block tridiagonal one, which ``dstebz`` cannot count,
+so it keeps a sparse LDL^T until coupled FEM goes.  :func:`solve_pencil`
+computes that many, values only, by shift-invert ARPACK on a banded Cholesky;
+:func:`inverse_iteration` gives one eigenvector.  They are the only
+eigensolvers of the package; the Sturm-Liouville oracle assembles its own
+pencil with :func:`band_assemble` and solves it here too.
 """
 
 from __future__ import annotations
@@ -224,18 +229,40 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
 
 
 def inertia_count(K: np.ndarray, M: np.ndarray, lam_cap: float) -> int:
-    """Eigenvalues below lam_cap of the banded pencil K x = lam M x: negative pivots of
-    K - lam_cap M = L D L^T (Sylvester), by a sparse LU that must not pivot."""
-    lu = splinalg.splu(
-        band_to_sparse(K - lam_cap * M).tocsc(),
-        permc_spec="NATURAL",
-        diag_pivot_thresh=0.0,
-        options={"SymmetricMode": True},
-    )
-    natural = np.arange(K.shape[1])
-    if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
-        raise ConvergenceError("inertia count needs a factorisation without pivoting")
-    return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    """Eigenvalues below lam_cap of the banded pencil K x = lam M x: negative inertia
+    of A = K - lam_cap M (Sylvester).  A scalar pencil is condensed onto its
+    vertices: with midpoint pivots d, vertex-midpoint couplings l, r and vertex
+    coupling c per element, the Schur complement has diagonal A_vv - l^2/d -
+    r^2/d and off-diagonal c - l r/d; the count is count(d < 0) plus its Sturm
+    count on (vl, 0], vl below its Gershgorin interval.  A dropped end vertex is
+    padded as a decoupled unit diagonal, one positive eigenvalue; the first was
+    dropped when M[0, 2] = 0, since a vertex-vertex mass (-h/30, int f^n N0 N2)
+    never is and a midpoint-midpoint one always is.  Raises ConvergenceError on
+    a zero midpoint pivot or a pivoting coupled LU; a value at the cap to
+    rounding may count either way.
+    """
+    A = K - lam_cap * M
+    if A.shape[0] != 3:  # coupled: SuperLU until coupled FEM goes (ROADMAP item 1, step 3)
+        opts = dict(permc_spec="NATURAL", diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+        lu = splinalg.splu(band_to_sparse(A).tocsc(), **opts)
+        natural = np.arange(A.shape[1])
+        if not (np.array_equal(lu.perm_r, natural) and np.array_equal(lu.perm_c, natural)):
+            raise ConvergenceError("inertia count needs a factorisation without pivoting")
+        return int(np.count_nonzero(lu.U.diagonal() < 0.0))
+    pad = np.array([[0.0], [0.0], [1.0]])
+    A = np.hstack([pad, A]) if M[0, 2] == 0.0 else A
+    A = np.hstack([A, pad]) if A.shape[1] % 2 == 0 else A
+    d, l, r, c = A[2, 1::2], A[1, 1::2], A[1, 2::2], A[0, 2::2]
+    if not np.all(d):
+        raise ConvergenceError(f"zero midpoint pivot in K - {lam_cap} M")
+    v = A[2, ::2].copy()
+    v[:-1] -= l * l / d
+    v[1:] -= r * r / d
+    e = c - l * r / d
+    vl = -1.0 - 2.0 * (np.abs(v).max() + 2.0 * np.abs(e).max())
+    # range "V" counts (vl, 0]; with a huge abstol dstebz never bisects, so cannot fail
+    below = lapack.dstebz(v, e, 1, vl, 0.0, 0, 0, 1e300, "B")[0]
+    return int(np.count_nonzero(d < 0.0)) + below
 
 
 def solve_pencil(K: np.ndarray, M: np.ndarray, lam_cap: float) -> np.ndarray:
@@ -303,9 +330,12 @@ def inverse_iteration(K: np.ndarray, M: np.ndarray, vals: np.ndarray, lam_cap: f
     if np.min(np.abs(np.append(np.delete(vals, i), lam_cap) - lam)) <= SIMPLE_GAP * scale:
         raise ConvergenceError(f"eigenvalue {lam} is not simple to {SIMPLE_GAP:g}: no eigenvector")
     shifted, mf = np.asfortranarray(K - lam * M), np.asfortranarray(M)
-    # band_to_sparse's diagonals, offsets -bw..bw, are rows 3 bw..bw of the
-    # general band storage; dgbtrf fills rows 0..bw-1 as it pivots
-    lu, piv, _ = lapack.dgbtrf(np.vstack([np.zeros((bw, n)), band_to_sparse(shifted).data[::-1]]), bw, bw)
+    # general band storage holds A[i, j] at [2 bw + i - j, j]; dgbtrf fills rows 0..bw-1
+    gb = np.zeros((3 * bw + 1, n))
+    gb[bw : 2 * bw + 1] = shifted
+    for d in range(1, bw + 1):
+        gb[2 * bw + d, : n - d] = shifted[bw - d, d:]
+    lu, piv, _ = lapack.dgbtrf(gb, bw, bw)
     x = np.linspace(1.0, 2.0, n)
     for _ in range(2):
         y = lapack.dgbtrs(lu, bw, bw, blas.dsbmv(bw, 1.0, mf, x).reshape(n, 1), piv)[0][:, 0]
@@ -381,7 +411,7 @@ def fem_spectrum(
     npair = min(len(vals1), len(vals2))
     if npair < len(vals2) and vals2[npair] <= lam_max:
         raise ConvergenceError(f"{problem.label}: refined mesh adds {vals2[npair]}, coarse one exceeds {lam_cap}")
-    entries = []
+    found = []
     zero_floor = 1e-9 * max(lam_max, 1.0)
     for i in range(npair):
         l1, l2 = vals1[i], vals2[i]
@@ -395,8 +425,20 @@ def fem_spectrum(
             raise ConvergenceError(
                 f"extrapolation not converged for {problem.label}: lam={ext}, est={est}"
             )
-        fld = FemField(problem, nodes2, pencil, i) if want_vectors else None
-        entries.append(
-            Eigenvalue(value=float(ext), problem=problem, index=i, method="fem", error=float(est), field=fld)
+        found.append((float(ext), float(est), i))
+    # the two copies of a double value may extrapolate in either order, by
+    # rounding: index by rank of the extrapolated value, as the slot path
+    # does, so the lower copy is index 0 at any cap; the field keeps its pencil index
+    found.sort(key=lambda f: f[0])
+    entries = [
+        Eigenvalue(
+            value=ext,
+            problem=problem,
+            index=rank,
+            method="fem",
+            error=est,
+            field=FemField(problem, nodes2, pencil, i) if want_vectors else None,
         )
+        for rank, (ext, est, i) in enumerate(found)
+    ]
     return EigList(entries=entries)

@@ -564,18 +564,19 @@ def frozen(name, tag):
     return scipy.sparse.csr_matrix(tuple(parts[:3]), shape=tuple(parts[3])).toarray()
 
 
-def oracle_pencil(monkeypatch):
+def oracle_pencil(profile=geo.spindle(1.0), n=2, mu_sq=2.0):
+    """The pencil that the oracle's mode mu_sq hands to solve_pencil, at h = 0.1."""
     captured = []
-    solve = sturm.solve_pencil
-    monkeypatch.setattr(sturm, "solve_pencil", lambda K, M, cap: captured.append((K, M)) or solve(K, M, cap))
-    sturm._mode_eigs(geo.spindle(1.0), 2, 2.0, 40.0, 0.1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sturm, "solve_pencil", lambda K, M, cap: captured.append((K, M)) or np.empty(0))
+        sturm._mode_eigs(profile, n, mu_sq, 40.0, 0.1)
     return captured[0]
 
 
 @pytest.mark.parametrize("case", sorted(PENCILS) + ["oracle"])
-def test_band_assembly_matches_frozen_sparse_assembly(case, monkeypatch):
+def test_band_assembly_matches_frozen_sparse_assembly(case):
     if case == "oracle":
-        K, M = oracle_pencil(monkeypatch)
+        K, M = oracle_pencil()
     else:
         K, M = band_pencil(*PENCILS[case], spec=FROZEN_MESH)
     for tag, ab in (("K", K), ("M", M)):
@@ -649,6 +650,74 @@ def test_solve_pencil_rejects_k_plus_m_not_positive_definite():
     cap = 0.5 * (eigs[0] + eigs[1]) - eigs[0] - 2.0
     with pytest.raises(ConvergenceError, match="not positive definite"):
         solve_pencil(shifted, M, cap)
+
+
+def assert_count_matches_dense(K, M, shifts):
+    """inertia_count equals the dense count of eigenvalues below each shift and
+    below each dense value lam (1 +- 1e-9), |lam| >= 1e-3; a shift within
+    5e-10 max(|mu|, 1) of a dense value mu is skipped, since dense eigh
+    cannot place it.  Returns the number of shifts checked."""
+    eigs = scipy.linalg.eigh(dense(K), dense(M), eigvals_only=True)
+    near = eigs[np.abs(eigs) >= 1e-3]
+    checked = 0
+    for shift in np.concatenate([shifts, near * (1.0 - 1e-9), near * (1.0 + 1e-9)]):
+        if np.any(np.abs(eigs - shift) <= 5e-10 * np.maximum(np.abs(eigs), 1.0)):
+            continue
+        assert inertia_count(K, M, shift) == np.count_nonzero(eigs < shift), shift
+        checked += 1
+    return checked
+
+
+# scalar pencils that keep or drop each end vertex: tips and Dirichlet-like
+# ends drop it, an absolute end keeps it for the alpha slot only
+LAYOUT_PROFILES = [
+    geo.spindle(1.0),
+    geo.truncated_spindle(2.0, 1.0),
+    geo.truncated_spindle(2.0, 1.0).reversed(),
+    geo.annulus(1.0, 2.0),
+    geo.cone(1.0, bc=BCKind.DIRICHLET_LIKE),
+]
+
+
+def test_inertia_count_matches_dense_on_every_end_layout():
+    layouts = set()
+    for profile in LAYOUT_PROFILES:
+        for p in range(4):
+            for prob in problems_for(profile, 2, p):
+                if prob.size == 1:
+                    K, M, keep = _assemble(prob, make_mesh(profile, PENCIL_MESH))
+                    layouts.add((bool(keep[0]), bool(keep[-1])))
+                    assert assert_count_matches_dense(K, M, [-1.0, 0.5, 17.0, 51.0]) > 4, prob.label
+    assert layouts == {(True, True), (True, False), (False, True), (False, False)}
+    assert assert_count_matches_dense(*oracle_pencil(), [-1.0, 0.5, 17.0, 51.0]) > 4
+
+
+def test_inertia_count_raises_on_a_zero_midpoint_pivot():
+    K, M = band_pencil(*PENCILS["tip_scalar"])
+    # the tip drops the first vertex, so dof 2 is a midpoint
+    assert M[0, 2] == 0.0
+    K = K.copy()
+    K[2, 2] = M[2, 2]
+    with pytest.raises(ConvergenceError, match="zero midpoint pivot"):
+        inertia_count(K, M, 1.0)
+
+
+@pytest.mark.parametrize("case", sorted(PENCILS))
+def test_inverse_iteration_band_storage_is_the_sparse_diagonals(case, monkeypatch):
+    # dgbtrf's input, built from the upper band, is bit for bit bw zero rows
+    # over band_to_sparse's reversed diagonals, so no eigenform moves
+    K, M = band_pencil(*PENCILS[case])
+    cap = 51.0
+    vals = solve_pencil(K, M, cap)
+    captured = []
+    dgbtrf = scipy.linalg.lapack.dgbtrf
+    monkeypatch.setattr(scipy.linalg.lapack, "dgbtrf", lambda ab, kl, ku: captured.append(ab) or dgbtrf(ab, kl, ku))
+    bw, n = K.shape[0] - 1, K.shape[1]
+    for i, lam in enumerate(vals):
+        inverse_iteration(K, M, vals, cap, i)
+        expected = np.vstack([np.zeros((bw, n)), band_to_sparse(K - lam * M).data[::-1]])
+        assert captured[-1].dtype == expected.dtype and captured[-1].tobytes() == expected.tobytes()
+    assert len(captured) == len(vals) >= 2
 
 
 APS_SPINDLE = geo.truncated_spindle(2.0, 1.0, bc=BCKind.APS)
@@ -769,6 +838,20 @@ def test_channel_bound_on_random_profiles(profile, n):
                 assert inertia_count(K, M, cap) <= kernel_dim, prob.label
 
 
+@settings(max_examples=20, deadline=None)
+@given(profile=st.one_of(some_mirrored, some_mirrored.map(dirichlet_ends)), n=st.sampled_from([2, 3]), data=st.data())
+def test_inertia_count_matches_dense_on_random_profiles(profile, n, data):
+    # one channel pencil, and the oracle's pencil of a random sphere mode
+    # where the oracle applies (no Dirichlet-like end)
+    prob = data.draw(st.sampled_from(problems_for(profile, n, data.draw(st.integers(0, n + 1)))))
+    pencils = [_assemble(prob, make_mesh(profile, PENCIL_MESH))[:2]]
+    if BCKind.DIRICHLET_LIKE not in (profile.start_bc, profile.end_bc):
+        pencils.append(oracle_pencil(profile, n, data.draw(st.sampled_from([0.0, n, 2.0 * (n + 1)]))))
+    for K, M in pencils:
+        shifts = data.draw(st.lists(st.floats(-10.0, 200.0), min_size=4, max_size=4))
+        assert assert_count_matches_dense(K, M, shifts) > 0
+
+
 @settings(max_examples=6, deadline=None)
 @given(profile=some_mirrored, n=st.sampled_from([2, 3]))
 def test_first_positive_exact_matches_whole_spectrum_on_random_profiles(profile, n):
@@ -828,6 +911,33 @@ def test_k_lowest_search_matches_the_full_spectrum_on_random_profiles(profile, n
             a, b = full.positive_entry(j), part.positive_entry(j)
             assert (b.problem.label, b.index) == (a.problem.label, a.index), (with_fields, j)
             assert b.value == pytest.approx(a.value, rel=1e-10), (with_fields, j)
+
+
+def test_fem_indices_follow_values_at_a_double_value():
+    # a mirrored profile at the middle degree of n = 3: the coupled channel
+    # holds each value twice, and the copies' Richardson extrapolations cross
+    # by rounding (2.409278901904472 at pencil index 0, ...702 at 1); the
+    # lower copy must be index 0 at any cap, so the search and the full
+    # spectrum name one entry
+    from conesum.analysis import _degree_spectrum
+
+    profile = mirrored(geo.Profile(
+        segments=(
+            geo.Segment(0.0, 0.8975834860188074, 1),
+            geo.Segment(0.8975834860188074, 1.9475834860188075, 1),
+            geo.Segment(0.5298486728630758, 1.9475834860188075, -1),
+        ),
+        start_bc=BCKind.REGULAR_TIP,
+        end_bc=BCKind.ABSOLUTE,
+    ))
+    mesh = MeshSpec(h=0.1)
+    full = _degree_spectrum(profile, 3, 2, 15.0, None, "fem", mesh, True, {})
+    for prob in {e.problem.label: e.problem for e in full.entries}.values():
+        entries = fem_spectrum(prob, mesh, 15.0).entries
+        assert [e.index for e in entries] == list(range(len(entries))), prob.label
+    part = _degree_spectrum(profile, 3, 2, 15.0, 1, "fem", mesh, True, {})
+    a, b = full.positive_entry(1), part.positive_entry(1)
+    assert (b.problem.label, b.index) == (a.problem.label, a.index) == ("p2:n3:q1:k1:plus_half", 0)
 
 
 @settings(max_examples=8, deadline=None)
