@@ -612,12 +612,17 @@ def sweep_epsilon(
     solved once per run.  The report's checks use TAKA_MARGIN and
     FINAL_REL_TOL at the last eps.
 
-    With jobs > 1 the per-epsilon M_eps work runs in a process pool, after
-    the McGowan reports; every task is a pure function, so the aggregated
-    report is identical for any job count.
+    With jobs > 1 the per-epsilon M_eps work runs in a process pool of
+    min(jobs, len(epsilons)) workers, after the McGowan reports (a fork pool
+    starts all its workers at once, so more would only idle); every task is
+    a pure function, so the aggregated report is identical for any job
+    count.  jobs < 1 raises DomainError.
     """
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilons must be strictly decreasing")
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
+    workers = min(jobs, len(epsilons))
     mesh = mesh or MeshSpec()
     rows: list[SweepRow] = []
     diagnostics: dict = {}
@@ -627,10 +632,10 @@ def sweep_epsilon(
     ref = {p: _degree_spectrum(m1, n, p, lam_max, k_track, method, mesh, False, cache) for p in degrees}
     mcg = {(eps, p): mcgowan_report(m1, m2, n, p, eps, mesh, cache) for eps in epsilons for p in range(1, n + 1)}
     tasks = [(m1, m2, n, degrees, eps, lam_max, k_track, mesh, method) for eps in epsilons]
-    if jobs > 1:
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = dict(zip(epsilons, pool.map(_sweep_one_eps, tasks)))
     else:
         results = dict(zip(epsilons, map(_sweep_one_eps, tasks)))

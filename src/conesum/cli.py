@@ -46,15 +46,31 @@ def _provenance(cfg: RunConfig) -> list[str]:
     ]
 
 
+def _strict_json(obj) -> str:
+    """obj as JSON with every non-finite float written as null: strict parsers
+    reject NaN and Infinity, which json.dumps writes by default."""
+
+    def finite(x):
+        if isinstance(x, float):
+            return x if math.isfinite(x) else None
+        if isinstance(x, dict):
+            return {k: finite(v) for k, v in x.items()}
+        if isinstance(x, (list, tuple)):
+            return [finite(v) for v in x]
+        return x
+
+    return json.dumps(finite(obj), indent=1, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_table(path: Path, header: list[str], rows: list[list], cfg: RunConfig, fmt: str):
     path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
         payload = {
             "provenance": {"version": __version__, "config_sha256": cfg.hash()},
             "columns": header,
-            "rows": [[r if isinstance(r, str) else float(_fmt(r)) if isinstance(r, float) else r for r in row] for row in rows],
+            "rows": [[float(_fmt(r)) if isinstance(r, float) else r for r in row] for row in rows],
         }
-        path.with_suffix(".json").write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+        path.with_suffix(".json").write_text(_strict_json(payload))
         return
     lines = _provenance(cfg)
     lines.append(",".join(header))
@@ -69,7 +85,7 @@ def _write_json(path: Path, payload: dict, cfg: RunConfig):
         "provenance": {"version": __version__, "config_sha256": cfg.hash()},
         **payload,
     }
-    path.write_text(json.dumps(payload, indent=1, sort_keys=True) + "\n")
+    path.write_text(_strict_json(payload))
 
 
 def _svg_error_plot(path: Path, series: dict[str, list[tuple[float, float]]]):

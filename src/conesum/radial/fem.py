@@ -16,10 +16,15 @@ Eigenvalues are extrapolated over two nested meshes (Richardson, order 4),
 which also supplies the per-eigenvalue convergence estimate.
 
 Each mesh gives one pencil K x = lam M x of half-bandwidth 3 * size - 1,
-which :func:`band_assemble` scatters with one ``np.bincount`` per matrix
-straight into LAPACK's upper band storage.  End conditions only drop end
-dofs, by the per-slot mask of ``ChannelProblem.endpoint``, so the kept dofs
-are renumbered in order.
+scattered with one ``np.bincount`` per matrix straight into LAPACK's upper
+band storage.  End conditions only drop end dofs, by the per-slot mask of
+``ChannelProblem.endpoint``, so the kept dofs are renumbered in order.
+Every channel of a profile is assembled on the same two meshes, so
+:func:`_assemble` computes only K per channel: the element integrals are
+cached per (profile, mesh), and the band positions of the kept entries and
+M per mesh, slot count and end drops.  The caches are small LRU caches (a
+sweep runs over many profiles), and their arrays, like the cached
+:func:`make_mesh` vertices, are read-only.
 :func:`inertia_count` counts the eigenvalues below a cap by Sylvester's law
 of inertia (spectrum slicing, Ericsson-Ruhe 1980).  A scalar pencil's
 midpoint block is diagonal, so by Haynsworth's inertia additivity that count
@@ -37,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sparse
@@ -93,8 +98,15 @@ def _segment_radii(r_lo: float, r_hi: float, spec: MeshSpec) -> np.ndarray:
     return pts
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+@lru_cache(maxsize=8)
 def make_mesh(profile: Profile, spec: MeshSpec) -> np.ndarray:
-    """Vertex coordinates in global t; every segment boundary is a vertex."""
+    """Vertex coordinates in global t; every segment boundary is a vertex.
+    The array is cached and read-only."""
     nodes = [np.array([0.0])]
     t0 = 0.0
     for seg in profile.segments:
@@ -102,7 +114,7 @@ def make_mesh(profile: Profile, spec: MeshSpec) -> np.ndarray:
         local = radii - seg.r_lo if seg.orientation > 0 else seg.r_hi - radii[::-1]
         nodes.append(t0 + local[1:])
         t0 += seg.length
-    return np.concatenate(nodes)
+    return _read_only(np.concatenate(nodes))
 
 
 def refine_mesh(nodes: np.ndarray) -> np.ndarray:
@@ -151,13 +163,19 @@ class FemField:
         return tq.ravel(), wq.ravel(), vals.reshape(-1, self.coeffs.shape[1])
 
 
+def band_positions(rows: np.ndarray, cols: np.ndarray, n: int, bw: int) -> tuple[np.ndarray, np.ndarray]:
+    """The entries on or above the diagonal (rows <= cols), and their flat
+    index in upper band storage of shape (bw + 1, n), A[i, j] at [bw + i - j, j]."""
+    upper = np.flatnonzero(rows <= cols)
+    return upper, (bw + rows[upper] - cols[upper]) * n + cols[upper]
+
+
 def band_assemble(rows: np.ndarray, cols: np.ndarray, n: int, bw: int, *vals: np.ndarray) -> list:
     """Symmetric matrices summing each vals at (rows, cols), in upper band storage:
     shape (bw + 1, n), A[i, j] at [bw + i - j, j] as LAPACK's ``?pbtrf`` reads it.
     Entries below the diagonal are skipped, so the input lists both triangles.
     """
-    upper = rows <= cols
-    flat = (bw + rows[upper] - cols[upper]) * n + cols[upper]
+    upper, flat = band_positions(rows, cols, n, bw)
     return [np.bincount(flat, weights=v[upper], minlength=(bw + 1) * n).reshape(bw + 1, n) for v in vals]
 
 
@@ -171,6 +189,69 @@ def band_to_sparse(ab: np.ndarray) -> sparse.dia_matrix:
     return sparse.dia_matrix((np.vstack(lower + [ab[::-1]]), np.arange(-bw, bw + 1)), shape=(n, n))
 
 
+@lru_cache(maxsize=4)
+def _mesh_integrals(profile: Profile, mesh_key: bytes) -> tuple:
+    """What a mesh of the profile gives every channel: the per-element P2
+    integrals ke_grad (of u' v'), me (of u v) and ke_pot (of u v / r^2), each
+    (nel, 3, 3); the mask of elements whose radius grows with t, (nel, 1, 1);
+    and the vertex of each corner term, the seams then the two ends.  The
+    vertices are ``np.frombuffer(mesh_key)``; raises ConvergenceError if
+    they do not resolve every seam (:func:`_check_resolution`).
+    """
+    nodes = np.frombuffer(mesh_key)
+    _check_resolution(profile, nodes)
+    h = np.diff(nodes)
+    # the profile radius is linear between breakpoints, with slope +-1
+    bps = profile.breakpoints
+    rq = np.interp(nodes[:-1, None] + h[:, None] * _QX[None, :], bps, [profile.radius(t) for t in bps])
+    ke_grad = np.einsum("qi,qj,q->ij", _DN, _DN, _QW)[None, :, :] / h[:, None, None]
+    me = np.einsum("qi,qj,q->ij", _N, _N, _QW)[None, :, :] * h[:, None, None]
+    ke_pot = np.einsum("eq,qi,qj->eij", _QW[None, :] * h[:, None] / (rq * rq), _N, _N)
+    rising = (rq[:, -1] > rq[:, 0])[:, None, None]
+    corners = tuple(int(np.argmin(np.abs(nodes - t))) for t in (*bps[1:-1], 0.0, bps[-1]))
+    return (*map(_read_only, (ke_grad, me, ke_pot, rising)), corners)
+
+
+@lru_cache(maxsize=8)
+def _dof_layout(profile: Profile, mesh_key: bytes, size: int, drops: tuple[bytes, bytes], corners: tuple) -> tuple:
+    """The channel-independent half of a pencil on one mesh, for problems of
+    ``size`` slots whose ends drop the slots of ``drops`` (``EndpointData.drop``
+    as bytes) and which have the corner terms flagged in ``corners``:
+    (entries, flat, M, keep).  A pencil's entries are the element blocks,
+    then each corner block; ``entries`` picks the kept ones on or above the
+    diagonal, and ``flat`` is their index in upper band storage.  M is the
+    mass band, and keep the mask of the kept dofs.
+    """
+    _, me, _, _, vertices = _mesh_integrals(profile, mesh_key)
+    nel = len(me)
+    # element blocks indexed (element, point, slot, point, slot); element e
+    # owns points 2e, 2e+1, 2e+2, that is dofs 2e*size .. 2e*size + 3*size - 1
+    dofs = 2 * size * np.arange(nel)[:, None] + np.arange(3 * size)
+    shape = (nel, 3 * size, 3 * size)
+    rows = [np.broadcast_to(dofs[:, :, None], shape).ravel()]
+    cols = [np.broadcast_to(dofs[:, None, :], shape).ravel()]
+    mvals = [(me[:, :, None, :, None] * np.eye(size)[None, None, :, None, :]).ravel()]
+    for vertex, present in zip(vertices, corners):
+        if present:
+            pdofs = 2 * size * vertex + np.arange(size)
+            rows.append(np.repeat(pdofs, size))
+            cols.append(np.tile(pdofs, size))
+            mvals.append(np.zeros(size * size))
+
+    keep = np.ones((2 * nel + 1, size), dtype=bool)
+    keep[0], keep[-1] = (~np.frombuffer(d, dtype=bool) for d in drops)
+    keep = keep.ravel()
+    target = np.cumsum(keep) - 1
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    kept = keep[rows] & keep[cols]
+    n, bw = int(np.count_nonzero(keep)), 3 * size - 1
+    upper, flat = band_positions(target[rows[kept]], target[cols[kept]], n, bw)
+    entries = np.flatnonzero(kept)[upper]
+    M = np.bincount(flat, weights=np.concatenate(mvals)[entries], minlength=(bw + 1) * n).reshape(bw + 1, n)
+    # int32 indices halve what the cache holds; bincount widens them again
+    return tuple(map(_read_only, (entries.astype(np.int32), flat.astype(np.int32), M, keep)))
+
+
 def _assemble(problem: ChannelProblem, nodes: np.ndarray):
     """Pencil (K, M) in upper band storage and the mask of the dofs it keeps.
 
@@ -178,53 +259,31 @@ def _assemble(problem: ChannelProblem, nodes: np.ndarray):
     ``ChannelProblem.endpoint`` and kept dof i becomes cumsum(keep)[i] - 1.
     An element's three points span 3 * size consecutive dofs, hence the
     half-bandwidth 3 * size - 1; dropping end dofs never widens it.
+
+    Only K depends on the channel beyond its slot count and end drops: it
+    takes one product per element block and one ``np.bincount``.  The rest
+    is cached, in small LRU caches so a run over many profiles holds few:
+    per (profile, mesh) the element integrals (``_mesh_integrals``, 4
+    meshes), and per mesh, slot count, end drops and corner terms the dof
+    layout and M (``_dof_layout``, 8 layouts).  Entries are summed in the
+    same order either way.  M and keep are those cached arrays, read-only;
+    callers write only into copies (``K - lam M``, ``K + M``).
     """
-    profile = problem.profile
     size = problem.size
-    nel = len(nodes) - 1
-    h = np.diff(nodes)
-    # the profile radius is linear between breakpoints, with slope +-1
-    bps = profile.breakpoints
-    rq = np.interp(nodes[:-1, None] + h[:, None] * _QX[None, :], bps, [profile.radius(t) for t in bps])
-    pot = np.where(
-        (rq[:, -1] > rq[:, 0])[:, None, None], problem.potential_global(+1), problem.potential_global(-1)
-    )  # (nel, size, size) by segment orientation
-    ke_grad = np.einsum("qi,qj,q->ij", _DN, _DN, _QW)[None, :, :] / h[:, None, None]
-    me = np.einsum("qi,qj,q->ij", _N, _N, _QW)[None, :, :] * h[:, None, None]
-    ke_pot = np.einsum("eq,qi,qj->eij", _QW[None, :] * h[:, None] / (rq * rq), _N, _N)
-    # element blocks indexed (element, point, slot, point, slot); element e
-    # owns points 2e, 2e+1, 2e+2, that is dofs 2e*size .. 2e*size + 3*size - 1
+    ends = problem.endpoint("start"), problem.endpoint("end")
+    # seam corner matrices and endpoint natural terms, each at one vertex
+    mats = [*problem.seam_matrices(), ends[0].k_matrix, ends[1].k_matrix]
+    mesh_key = nodes.tobytes()
+    ke_grad, _, ke_pot, rising, _ = _mesh_integrals(problem.profile, mesh_key)
+    entries, flat, M, keep = _dof_layout(
+        problem.profile, mesh_key, size, (ends[0].drop.tobytes(), ends[1].drop.tobytes()),
+        tuple(mat is not None for mat in mats),
+    )
+    pot = np.where(rising, problem.potential_global(+1), problem.potential_global(-1))  # by segment orientation
     slot_eye = np.eye(size)[None, None, :, None, :]
     ke = ke_pot[:, :, None, :, None] * pot[:, None, :, None, :] + ke_grad[:, :, None, :, None] * slot_eye
-    mel = np.broadcast_to(me[:, :, None, :, None] * slot_eye, ke.shape)
-    dofs = 2 * size * np.arange(nel)[:, None] + np.arange(3 * size)
-    shape = (nel, 3 * size, 3 * size)
-    rows = [np.broadcast_to(dofs[:, :, None], shape).ravel()]
-    cols = [np.broadcast_to(dofs[:, None, :], shape).ravel()]
-    kvals, mvals = [ke.ravel()], [mel.ravel()]
-
-    # seam corner matrices and endpoint natural terms, each at one vertex
-    ends = problem.endpoint("start"), problem.endpoint("end")
-    corners = list(zip(bps[1:-1], problem.seam_matrices()))
-    corners += [(0.0, ends[0].k_matrix), (bps[-1], ends[1].k_matrix)]
-    for t, mat in corners:
-        if mat is not None:
-            pdofs = 2 * size * int(np.argmin(np.abs(nodes - t))) + np.arange(size)
-            rows.append(np.repeat(pdofs, size))
-            cols.append(np.tile(pdofs, size))
-            kvals.append(np.ravel(mat))
-            mvals.append(np.zeros(size * size))
-
-    keep = np.ones((2 * len(nodes) - 1, size), dtype=bool)
-    keep[0], keep[-1] = ~ends[0].drop, ~ends[1].drop
-    keep = keep.ravel()
-    target = np.cumsum(keep) - 1
-    rows, cols = np.concatenate(rows), np.concatenate(cols)
-    kept = keep[rows] & keep[cols]
-    K, M = band_assemble(
-        target[rows[kept]], target[cols[kept]], int(np.count_nonzero(keep)), 3 * size - 1,
-        np.concatenate(kvals)[kept], np.concatenate(mvals)[kept],
-    )
+    kvals = np.concatenate([ke.ravel(), *(np.ravel(mat) for mat in mats if mat is not None)])
+    K = np.bincount(flat, weights=kvals[entries], minlength=M.size).reshape(M.shape)
     return K, M, keep
 
 
@@ -398,7 +457,6 @@ def fem_spectrum(
     if lam_max <= 0:
         raise DomainError(f"lam_max must be positive, got {lam_max}")
     nodes1 = make_mesh(problem.profile, mesh)
-    _check_resolution(problem.profile, nodes1)
     nodes2 = refine_mesh(nodes1)
     lam_cap = pencil_cap(lam_max)
 

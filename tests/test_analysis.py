@@ -422,6 +422,42 @@ def test_sweep_parallel_matches_serial(small_sweep):
     assert rep2.diagnostics == small_sweep.diagnostics
 
 
+def test_sweep_pool_has_one_worker_per_eps_at_most(small_sweep, monkeypatch):
+    # a fork pool starts all its workers at the first submit: 64 jobs on 2
+    # eps must ask for 2; a serial stand-in records that and starts nothing
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    kwargs = dict(
+        m1=spindle(1.0), m2=truncated_spindle(2.0, 1.0), n=2, degrees=[0, 1],
+        epsilons=[0.2, 0.1], lam_max=40.0, k_track=3, mesh=MESH, method="fem",
+    )
+    rep = sweep_epsilon(**kwargs, jobs=64)
+    assert workers == [2]
+    assert [(r.eps, r.degree, r.k, r.lam_eps) for r in rep.rows] == [
+        (r.eps, r.degree, r.k, r.lam_eps) for r in small_sweep.rows
+    ]
+    for jobs in (0, -3):
+        with pytest.raises(DomainError, match="jobs"):
+            sweep_epsilon(**kwargs, jobs=jobs)
+    assert workers == [2]
+
+
 def test_sweep_computes_only_the_tracked_eigenforms(monkeypatch):
     # ARPACK returns values only; an eigenform comes from inverse iteration,
     # and only for a tracked row's eigenvalue

@@ -174,6 +174,38 @@ def test_sweep_honours_solver_fields(tmp_path, capsys, monkeypatch):
     assert json.loads(capsys.readouterr().err)["error"] == "SolverDisagreementError"
 
 
+def reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_sweep_json_outputs_are_strict(tmp_path):
+    # McGowan covers p >= 1, so the p = 0 rows have no bound: null, not NaN
+    cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2, 0.1], k_track=2, lam_max=15.0)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--format", "json"]) == 0
+    table = json.loads((tmp_path / "sweep.json").read_text(), parse_constant=reject_constant)
+    mcgowan = table["columns"].index("mcgowan")
+    assert table["rows"] and all(row[mcgowan] is None for row in table["rows"])
+    json.loads((tmp_path / "report.json").read_text(), parse_constant=reject_constant)
+
+
+def test_json_writers_write_null_for_non_finite_floats(tmp_path):
+    from conesum.cli import _write_json, _write_table
+
+    cfg = load_config(None)
+    _write_table(tmp_path / "t.csv", ["a", "b"], [[1.5, float("nan")], [float("inf"), 2]], cfg, "json")
+    table = json.loads((tmp_path / "t.json").read_text(), parse_constant=reject_constant)
+    assert table["rows"] == [[1.5, None], [None, 2]]
+    _write_json(tmp_path / "r.json", {"checks": {"bord_ratio_max": float("nan")}, "x": [-float("inf"), 0.5]}, cfg)
+    report = json.loads((tmp_path / "r.json").read_text(), parse_constant=reject_constant)
+    assert report["checks"] == {"bord_ratio_max": None} and report["x"] == [None, 0.5]
+
+
+def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "0"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
 def test_spectrum_connected_sum_flag(tmp_path):
     cfg = write_cfg(tmp_path, degrees=[0], lam_max=12.0)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--eps", "0.1"]) == 0

@@ -12,7 +12,7 @@ from conesum import geometry as geo
 from conesum.cone_operator import Family, enumerate_blocks
 from conesum.errors import ConvergenceError, DomainError, ZeroModeMismatchError
 from conesum.geometry import BCKind, split_segment
-from conesum.radial import sturm
+from conesum.radial import fem, sturm
 from conesum.radial.fem import (
     MeshSpec,
     _assemble,
@@ -850,6 +850,65 @@ def test_inertia_count_matches_dense_on_random_profiles(profile, n, data):
     for K, M in pencils:
         shifts = data.draw(st.lists(st.floats(-10.0, 200.0), min_size=4, max_size=4))
         assert assert_count_matches_dense(K, M, shifts) > 0
+
+
+FEM_CACHES = (fem._mesh_integrals, fem._dof_layout)
+
+
+def assert_cold_assembly_matches_warm(profile, n):
+    """Assemble every channel pencil of the profile on two nested meshes, each
+    while the caches hold what the channels before it left, then each again
+    after cache_clear(): K, M and keep must agree bit for bit.  The cached
+    arrays are read-only.  Returns the (size, first dof kept, last dof kept)
+    layouts seen."""
+    nodes = make_mesh(profile, MeshSpec(h=0.1, tip_floor=0.25))
+    probs = [prob for p in range(n + 2) for prob in problems_for(profile, n, p, 15.0)]
+    cases = [(prob, mesh) for mesh in (nodes, refine_mesh(nodes)) for prob in probs]
+    warm = [_assemble(prob, mesh) for prob, mesh in cases]
+    layouts = set()
+    for (prob, mesh), pencil in zip(cases, warm):
+        for cache in FEM_CACHES:
+            cache.cache_clear()
+        cold = _assemble(prob, mesh)
+        for a, b in zip(cold, pencil):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), prob.label
+        layouts.add((prob.size, bool(cold[2][0]), bool(cold[2][-1])))
+    _, M, keep = warm[-1]
+    for cached in (M, keep, nodes):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0] = cached[0]
+    return layouts
+
+
+def test_cold_assembly_matches_warm_on_every_end_layout():
+    layouts = set().union(*(assert_cold_assembly_matches_warm(profile, 2) for profile in LAYOUT_PROFILES))
+    assert {(1, True, True), (1, True, False), (1, False, True), (1, False, False)} <= layouts
+    assert {(2, True, False), (2, False, False)} <= layouts
+
+
+@settings(max_examples=8, deadline=None)
+@given(profile=st.one_of(some_mirrored, some_mirrored.map(dirichlet_ends)), n=st.sampled_from([2, 3]))
+def test_cold_assembly_matches_warm_on_random_profiles(profile, n):
+    assert_cold_assembly_matches_warm(profile, n)
+
+
+def test_assembly_reuses_each_mesh_across_channels(monkeypatch):
+    # every channel of a profile is assembled on the same two nested meshes,
+    # so their element integrals and dof layout are built twice per run,
+    # however many channels there are
+    from conesum.analysis import assemble_spectrum
+
+    assembled = []
+    assemble = fem._assemble
+    monkeypatch.setattr(fem, "_assemble", lambda *a: assembled.append(a[0].label) or assemble(*a))
+    for cache in FEM_CACHES:
+        cache.cache_clear()
+    slot_cache: dict = {}
+    for p in range(5):
+        assemble_spectrum(geo.spindle(1.0), 3, p, 40.0, mesh=MESH, _slot_cache=slot_cache)
+    assert len(assembled) > 10
+    assert fem._mesh_integrals.cache_info().misses == 2
+    assert fem._dof_layout.cache_info().misses == 2
 
 
 @settings(max_examples=6, deadline=None)
