@@ -102,8 +102,9 @@ def assemble_spectrum(
     and read from there at any lower cap (``_slot_spectrum``), so callers
     looping over degrees, or a whole run, pass one dict and dual degrees
     share its solves; with method="both" each solve's FEM eigenvalues are
-    checked against the secular solver (equal counts, agreement to
-    CROSS_RTOL, else SolverDisagreementError).  Zero modes are counted
+    checked against the secular solver's Sturm counts (``_cross_validate``:
+    as many secular eigenvalues below the cap, and one within CROSS_RTOL of
+    each FEM value, else SolverDisagreementError).  Zero modes are counted
     analytically from the harmonic matching systems; FEM's first that many
     eigenvalues per slot are its zero modes, once its spectrum shows a gap
     there (``_positive_entries``).  Reported eigenvalues come from FEM
@@ -205,14 +206,16 @@ def _channel_spectrum(
     is the only coupled FEM solve, and a coupled problem at an APS end
     raises DomainError (``ChannelProblem.endpoint``).  A field computes its
     eigenvector (inverse iteration) on first read, so a caller pays only
-    for the fields it reads.  Otherwise the channel's slots are solved
-    (``_slot_spectrum``), and its entries carry no field.
+    for the fields it reads.  With method="both" the channel's values are
+    checked by the Sturm counts of its slots (``_cross_validate``).
+    Otherwise the channel's slots are solved (``_slot_spectrum``), and its
+    entries carry no field.
     """
     if want_fields and method != "secular":
         fem_list = fem_spectrum(prob, mesh, cap, want_vectors=True)
         pos_entries = _positive_entries(prob, fem_list, kernel_dim, cap)
         if method == "both":
-            _cross_validate(prob, [e.value for e in pos_entries], transfer_spectrum(prob, cap).values())
+            _cross_validate(prob, [e.value for e in pos_entries], cap)
         return pos_entries
     slot_entries = sort_eigenvalues(
         [e for slot in prob.slot_problems() for e in _slot_spectrum(slot, cap, method, mesh, cache)]
@@ -231,7 +234,8 @@ def _empty_below(prob: ChannelProblem, cap: float, method: str, mesh: MeshSpec, 
     else its slots) has no coarse eigenvalue below fem_spectrum's cap for
     cap (``coarse_count``).  With method="both" the secular solver must
     agree: each slot's Sturm count ``eigen_count`` at cap is its kernel
-    dimension, else the channel is solved and cross-validated.
+    dimension, the cap count of ``_cross_validate`` with no FEM value; else
+    the channel is solved, and its count check raises.
     """
     solved = (prob,) if want_fields else prob.slot_problems()
     return all(coarse_count(pr, mesh, cap) == 0 for pr in solved) and (
@@ -254,7 +258,8 @@ def _slot_spectrum(
     for one) share a solve; the entries keep the slot that was solved as
     their problem.  The cache holds the solver's list and the cap it was solved
     to.  A request at a higher cap solves again and replaces it (with
-    method="both" each solve is cross-validated); one at a cap no higher
+    method="both" each solve's positive FEM values are checked by the slot's
+    Sturm counts, ``_cross_validate``); one at a cap no higher
     reads the list up to its cap, as a fresh solve returns it, and reruns
     ``_positive_entries``, whose gap test is stricter at a lower cap.  A
     slot with another kernel dimension than the one solved raises
@@ -274,7 +279,7 @@ def _slot_spectrum(
             solved = fem_spectrum(slot, mesh, lam_max)
             if method == "both":
                 pos = _positive_entries(slot, solved, kernel_dim, lam_max)
-                _cross_validate(slot, [e.value for e in pos], transfer_spectrum(slot, lam_max).values())
+                _cross_validate(slot, [e.value for e in pos], lam_max)
         cache[key] = hit = (slot.label, kernel_dim, lam_max, solved)
     below = EigList(entries=list(takewhile(lambda e: e.value <= lam_max, hit[3].entries)))
     return below.entries if method == "secular" else _positive_entries(slot, below, kernel_dim, lam_max)
@@ -299,16 +304,40 @@ def _positive_entries(prob: ChannelProblem, fem_list: EigList, kernel_dim: int, 
     return fem_list.entries[d:]
 
 
-def _cross_validate(prob, fem_vals, sec_vals):
-    if len(fem_vals) != len(sec_vals):
+def _cross_validate(prob: ChannelProblem, fem_vals, cap: float) -> None:
+    """Check the positive FEM values up to cap of prob by Sturm counts alone.
+
+    With a_1 <= .. <= a_m the values and tau = CROSS_RTOL, the i-th positive
+    eigenvalue b_i of the secular problem agrees with a_i, |a_i - b_i| <=
+    tau max(|a_i|, |b_i|, 1e-3), exactly when it lies in [lo_i, hi_i) with
+    lo_i = a_i - tau max(a_i, 1e-3) and hi_i = max(a_i / (1 - tau), a_i +
+    tau 1e-3), the upper end aside.  With P(lam) the number of
+    positive eigenvalues below lam, summed over ``prob.slot_problems()`` as
+    ``eigen_count`` less the kernel dimension (one walk per slot at every
+    lo, hi and cap), the check passes iff P(cap) = m and, for every i,
+    P(lo_i) <= i - 1 and P(hi_i) >= i.  No root is refined.  A count
+    mismatch at cap raises SolverDisagreementError first, then the first
+    value outside its bracket.
+    """
+    a = np.sort(np.asarray(fem_vals, dtype=float))
+    m = len(a)
+    lo = a - CROSS_RTOL * np.maximum(a, 1e-3)
+    hi = np.maximum(a / (1.0 - CROSS_RTOL), a + CROSS_RTOL * 1e-3)
+    lam = np.concatenate([lo, hi, [cap]])
+    live = lam > 0  # no positive eigenvalue lies below lam <= 0
+    counts = np.zeros(lam.shape, dtype=int)
+    for slot in prob.slot_problems():
+        counts[live] += eigen_count(slot, lam[live]) - first_order_kernel(slot).dim
+    if counts[-1] != m:
+        raise SolverDisagreementError(f"{prob.label}: secular found {counts[-1]} eigenvalues, FEM {m}")
+    below, above = counts[:m], counts[m:-1]
+    bad = np.flatnonzero((below > np.arange(m)) | (above <= np.arange(m)))
+    if bad.size:
+        i = bad[0]
         raise SolverDisagreementError(
-            f"{prob.label}: secular found {len(sec_vals)} eigenvalues, FEM {len(fem_vals)}"
+            f"{prob.label}: eigenvalue {i} disagrees: fem {a[i]}, secular counts {below[i]} "
+            f"eigenvalues below {lo[i]} and {above[i]} below {hi[i]}"
         )
-    for i, (a, b) in enumerate(zip(fem_vals, sec_vals)):
-        if abs(a - b) > CROSS_RTOL * max(abs(a), abs(b), 1e-3):
-            raise SolverDisagreementError(
-                f"{prob.label}: eigenvalue {i} disagrees: fem {a} vs secular {b}"
-            )
 
 
 # ---------------------------------------------------------------------------

@@ -88,11 +88,11 @@ class RunConfig:
 
     @property
     def n(self) -> int:
-        return self.raw["n"]
+        return int(self.raw["n"])
 
     @property
     def degrees(self) -> list[int]:
-        return list(self.raw["degrees"])
+        return [int(p) for p in self.raw["degrees"]]
 
     @property
     def epsilons(self) -> list[float]:
@@ -163,7 +163,10 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")
     n = merged["n"]
-    for p in merged["degrees"]:
+    degrees = merged["degrees"]
+    for i, p in enumerate(degrees):
         if p > n + 1:
             raise ConfigError(f"degree {p} exceeds the manifold dimension {n + 1}")
+        if p in degrees[:i]:
+            raise ConfigError(f"degree {p} is repeated")
     return RunConfig(raw=merged)

@@ -15,7 +15,10 @@ at the matching breakpoint (:func:`eigen_count`).  The count is exact: every
 slot has c = gamma(gamma+1) >= 0, so by Sturm comparison the zeros of u lie
 at least pi/k apart, and u sampled at a spacing below pi/k changes sign once
 per zero; seams only jump u'.  :func:`transfer_spectrum` isolates each
-eigenvalue by bisection on the count and refines it on the determinant.
+eigenvalue by bisection on the count and refines it on the determinant;
+it serves ``method="secular"``.  The FEM cross-check of ``method="both"``
+reads the count alone (``conesum.analysis._cross_validate``): one walk at
+the ends of every FEM value's tolerance bracket and at the cap.
 
 Only scalar problems are solved.  A coupled PLUS_HALF problem is handed to
 :func:`transfer_spectrum` as its two single-slot problems

@@ -28,6 +28,7 @@ from conesum.radial import fem
 from conesum.radial.fem import MeshSpec
 from conesum.radial.problems import EigList, degree_problems
 from conesum.radial.sturm import sturm_liouville_oracle
+from conesum.radial.transfer import transfer_spectrum
 
 MESH = MeshSpec(h=0.02)
 
@@ -547,6 +548,25 @@ def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
     assert _degree_spectrum(m_eps, 2, 0, 40.0, 3, "fem", MESH, True, {}).positive_values().size == 3
     with pytest.raises(SolverDisagreementError, match="secular found [1-9]"):
         _degree_spectrum(m_eps, 2, 0, 40.0, 3, "both", MESH, True, {})
+
+
+def test_cross_validate_counts_each_value_in_its_bracket():
+    # the Sturm counts place each secular eigenvalue in its FEM value's
+    # CROSS_RTOL bracket: a scalar slot and a coupled channel's two slots
+    tau = analysis.CROSS_RTOL
+    scalar = degree_problems(spindle(1.0), 2, 0, 40.0)[0][0]
+    coupled = next(pr for pr in degree_problems(truncated_spindle(2.0, 1.0), 2, 1, 40.0)[0] if pr.size == 2)
+    for prob in (scalar, coupled):
+        roots = list(transfer_spectrum(prob, 40.0).values())
+        assert len(roots) >= 2, prob.label
+        analysis._cross_validate(prob, roots, 40.0)
+        analysis._cross_validate(prob, [roots[0] * (1 + tau / 2)] + roots[1:], 40.0)
+        analysis._cross_validate(prob, roots[:-1] + [roots[-1] * (1 - tau / 2)], 40.0)
+        for off in (roots[0] * (1 + 2 * tau), roots[0] * (1 - 2 * tau)):
+            with pytest.raises(SolverDisagreementError, match="eigenvalue 0 disagrees"):
+                analysis._cross_validate(prob, [off] + roots[1:], 40.0)
+        with pytest.raises(SolverDisagreementError, match=f"secular found {len(roots)} eigenvalues, FEM {len(roots) - 1}"):
+            analysis._cross_validate(prob, roots[1:], 40.0)
 
 
 def test_secular_sweep_matches_the_full_spectra(monkeypatch):

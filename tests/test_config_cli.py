@@ -71,6 +71,33 @@ def test_schema_rejections(tmp_path):
             load_config(bad)
 
 
+def test_integral_floats_read_as_integers(tmp_path):
+    # JSON Schema's "integer" admits 3.0; the config reads it as 3, and the
+    # raw config keeps what was given
+    cfg = load_config(None, {"n": 3.0, "degrees": [0.0, 2]})
+    assert (cfg.n, cfg.degrees) == (3, [0, 2])
+    assert type(cfg.n) is int and all(type(p) is int for p in cfg.degrees)
+    assert repr(cfg.raw["n"]) == "3.0"
+    rows = []
+    for n in (3, 3.0):
+        out = tmp_path / repr(n)
+        cfg_path = write_cfg(tmp_path, n=n, degrees=[0], lam_max=10.0)
+        assert main(["spectrum", "--config", str(cfg_path), "--out", str(out)]) == 0
+        rows.append([ln for ln in (out / "spectrum.csv").read_text().splitlines() if not ln.startswith("#")])
+    assert len(rows[0]) > 1 and rows[0] == rows[1]
+
+
+def test_repeated_degree_is_rejected(tmp_path, capsys):
+    # a repeated degree would write every sweep row twice
+    with pytest.raises(ConfigError, match="degree 0 is repeated"):
+        load_config(None, {"degrees": [0, 1, 0]})
+    cfg = write_cfg(tmp_path, degrees=[0, 0], epsilons=[0.2, 0.1], k_track=2, lam_max=20.0)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError" and "degree 0" in record["message"]
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_hash_stable_under_key_order(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

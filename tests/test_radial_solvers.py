@@ -1225,6 +1225,53 @@ def test_eigen_count_matches_fem_on_random_profiles(profile, n, data):
             assert eigen_count(slot, caps).tolist() == expected.tolist(), slot.label
 
 
+def roots_agree(fem_vals, roots, rtol):
+    """The value comparison of FEM against refined secular roots: equal
+    counts, and each sorted pair within rtol of the larger (1e-3 floor)."""
+    return len(fem_vals) == len(roots) and all(
+        abs(a - b) <= rtol * max(abs(a), abs(b), 1e-3) for a, b in zip(sorted(fem_vals), roots)
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(profile=some_mirrored, n=st.sampled_from([2, 3]), data=st.data())
+def test_count_check_agrees_with_root_comparison_on_random_profiles(profile, n, data):
+    # perturbed secular roots stand in for FEM values: the Sturm-count check
+    # accepts exactly when the refined roots are within CROSS_RTOL, for a
+    # scalar slot and for a coupled channel as the fields path checks it
+    # (draws within 1e-9 of the tolerance are discarded: the roots are
+    # refined to 1e-13, not exact)
+    from conesum.analysis import CROSS_RTOL, _cross_validate
+    from conesum.errors import SolverDisagreementError
+
+    cap = 15.0
+    prob = data.draw(st.sampled_from([pr for p in range(n + 2) for pr in problems_for(profile, n, p, cap)]))
+    try:
+        roots = transfer_spectrum(prob, cap).values()
+    except ConvergenceError:
+        reject()
+    assume(len(roots) > 0)
+    # each value uniform within three times the tolerance with probability
+    # 1/m, else within it, so about half the lists are accepted at any m
+    rnd = data.draw(st.randoms(use_true_random=False))
+    deltas = [rnd.uniform(-3.0, 3.0) if rnd.random() < 1 / len(roots) else rnd.uniform(-1.0, 1.0) for _ in roots]
+    fem_vals = [b * (1.0 + d * CROSS_RTOL) for b, d in zip(roots, deltas)]
+    for a, b in zip(fem_vals, roots):
+        assume(abs(abs(a - b) / max(a, b, 1e-3) - CROSS_RTOL) > 1e-9)
+    edit = data.draw(st.sampled_from(["none", "drop", "extra"]))
+    if edit == "drop":
+        del fem_vals[data.draw(st.integers(0, len(fem_vals) - 1))]
+    elif edit == "extra":
+        fem_vals.append(data.draw(st.floats(0.5, cap)))
+    try:
+        _cross_validate(prob, fem_vals, cap)
+        accepted = True
+    except SolverDisagreementError as exc:
+        accepted = False
+        assert ("secular found" in str(exc)) == (len(fem_vals) != len(roots))
+    assert accepted == roots_agree(fem_vals, roots, CROSS_RTOL), (prob.label, edit)
+
+
 # ---------------------------------------------------------------------------
 # the independent p=0 oracle
 
