@@ -645,10 +645,13 @@ def sweep_epsilon(
     min(jobs, len(epsilons)) workers, after the McGowan reports (a fork pool
     starts all its workers at once, so more would only idle); every task is
     a pure function, so the aggregated report is identical for any job
-    count.  jobs < 1 raises DomainError.
+    count.  A non-decreasing eps list, a repeated degree or jobs < 1 raises
+    DomainError.
     """
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilons must be strictly decreasing")
+    if len(set(degrees)) < len(degrees):
+        raise DomainError(f"degrees must not repeat, got {degrees}")
     if jobs < 1:
         raise DomainError(f"jobs must be at least 1, got {jobs}")
     workers = min(jobs, len(epsilons))

@@ -5,10 +5,9 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .errors import ConfigError
 from .geometry import BCKind, Profile, build_profile
@@ -65,8 +64,67 @@ SCHEMA = {
     "additionalProperties": False,
 }
 
-# built once: jsonschema.validate would check SCHEMA against its metaschema on every call
-_VALIDATOR = jsonschema.Draft202012Validator(SCHEMA)
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# Draft 2020-12 types: a bool is neither a number nor an integer, and 3.0 is an integer
+_IS_TYPE = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "boolean": lambda v: isinstance(v, bool),
+    "number": _is_number,
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+
+def _violation(schema: dict, value, path: str = "config") -> str | None:
+    """The first way ``value`` breaks ``schema``, as "path: message", or None.
+
+    Interprets exactly the keywords SCHEMA uses (type, enum, minimum,
+    exclusiveMinimum, minItems, items, properties, required and
+    additionalProperties: false) with Draft 2020-12 meaning, so on finite
+    numbers it accepts what jsonschema's Draft202012Validator accepts.  It
+    also rejects NaN and infinities: json reads them, and the bounds let
+    them through (NaN <= 0 is false), but no field can use them.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{path}: {value!r} is not a finite number"
+    kind = schema.get("type")
+    if kind is not None and not _IS_TYPE[kind](value):
+        return f"{path}: {value!r} is not of type {kind!r}"
+    if "enum" in schema and value not in schema["enum"]:
+        return f"{path}: {value!r} is not one of {schema['enum']!r}"
+    if _is_number(value):
+        if "minimum" in schema and value < schema["minimum"]:
+            return f"{path}: {value!r} is less than the minimum of {schema['minimum']!r}"
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            return f"{path}: {value!r} is less than or equal to the minimum of {schema['exclusiveMinimum']!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return f"{path}: {value!r} has fewer than {schema['minItems']} items"
+        for i, item in enumerate(value):
+            found = _violation(schema.get("items", {}), item, f"{path}[{i}]")
+            if found:
+                return found
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return f"{path}: {key!r} is a required property"
+        if schema.get("additionalProperties") is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                return f"{path}: additional properties are not allowed ({', '.join(map(repr, extra))})"
+        for key, sub in props.items():
+            if key in value:
+                found = _violation(sub, value[key], f"{path}.{key}")
+                if found:
+                    return found
+    return None
+
 
 DEFAULTS = {
     "n": 2,
@@ -156,9 +214,9 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
     merged = _merge(DEFAULTS, data)
     if overrides:
         merged = _merge(merged, overrides)
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(merged))
+    error = _violation(SCHEMA, merged)
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        raise ConfigError(error)
     eps = merged["epsilons"]
     if any(a <= b for a, b in zip(eps, eps[1:])):
         raise ConfigError("epsilons must be strictly decreasing")

@@ -45,9 +45,13 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
+
+# scipy.linalg before scipy.sparse: loading scipy's OpenBLAS starts a worker
+# thread that spins for about 0.1 s before it sleeps, and scipy.sparse's
+# imports take longer than that, so the spin ends before any command runs
+from scipy.linalg import blas, lapack  # isort: skip
 import scipy.sparse as sparse
 import scipy.sparse.linalg as splinalg
-from scipy.linalg import blas, lapack
 
 from ..errors import ConvergenceError, DomainError
 from ..geometry import Profile
@@ -75,6 +79,13 @@ class MeshSpec:
     h: float = 0.02
     radial_fraction: float = 0.1
     tip_floor: float = 1.0 / 64.0  # smallest element as a fraction of h
+
+    def __post_init__(self):
+        # the mesher steps by these sizes: zero, negative or NaN never ends
+        for name in ("h", "radial_fraction", "tip_floor"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise DomainError(f"MeshSpec.{name} must be positive and finite, got {value}")
 
     def scaled(self, c: float) -> "MeshSpec":
         return MeshSpec(self.h * c, self.radial_fraction, self.tip_floor)

@@ -271,8 +271,8 @@ def degree_problems(
     """
     if not 0 <= p <= n + 1:
         raise DomainError(f"degree must satisfy 0 <= p <= n+1, got p={p}")
-    if lam_max <= 0:
-        raise DomainError(f"lam_max must be positive, got {lam_max}")
+    if not 0 < lam_max < math.inf:
+        raise DomainError(f"lam_max must be positive and finite, got {lam_max}")
     r_max = profile.r_max
     mu_sq_cut = lam_max * r_max * r_max
     problems = [

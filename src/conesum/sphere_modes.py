@@ -120,8 +120,8 @@ def enumerate_sphere_modes(n: int, mu_sq_max: float) -> list[SphereMode]:
     """
     if n < 2:
         raise DomainError(f"sphere dimension must be >= 2, got n={n}")
-    if mu_sq_max <= 0:
-        raise DomainError(f"mu_sq_max must be positive, got {mu_sq_max}")
+    if not 0 < mu_sq_max < math.inf:
+        raise DomainError(f"mu_sq_max must be positive and finite, got {mu_sq_max}")
     modes = list(harmonic_modes(n))
     for q in range(n):
         k = 1

@@ -459,6 +459,13 @@ def test_sweep_pool_has_one_worker_per_eps_at_most(small_sweep, monkeypatch):
     assert workers == [2]
 
 
+def test_sweep_rejects_a_repeated_degree():
+    # each row would be written twice, and the error check would compare a
+    # row with its own copy
+    with pytest.raises(DomainError, match="degrees must not repeat"):
+        sweep_epsilon(spindle(1.0), truncated_spindle(2.0, 1.0), 2, [0, 0], [0.2, 0.1], 20.0, 2, MeshSpec(h=0.02))
+
+
 def test_sweep_computes_only_the_tracked_eigenforms(monkeypatch):
     # ARPACK returns values only; an eigenform comes from inverse iteration,
     # and only for a tracked row's eigenvalue

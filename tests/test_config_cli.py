@@ -1,4 +1,6 @@
+import copy
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -6,9 +8,10 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conesum.cli import main
-from conesum.config import DEFAULTS, SCHEMA, load_config
+from conesum.config import DEFAULTS, SCHEMA, _violation, load_config
 from conesum.errors import ConfigError
 
 
@@ -34,7 +37,7 @@ def test_defaults_validate():
 
 
 def test_schema_is_a_valid_draft_2020_12_schema():
-    # load_config validates with a validator built once, without this check
+    # load_config interprets SCHEMA without checking it against the metaschema
     jsonschema.Draft202012Validator.check_schema(SCHEMA)
 
 
@@ -69,6 +72,114 @@ def test_schema_rejections(tmp_path):
         bad.write_text(json.dumps(removed))
         with pytest.raises(ConfigError):
             load_config(bad)
+
+
+def test_schema_violations_name_their_path():
+    cases = {
+        "config.solver.method: 'q' is not one of ['fem', 'secular', 'both']": {"solver": {"method": "q"}},
+        "config.degrees[1]: -1 is less than the minimum of 0": {"degrees": [0, -1]},
+        "config.n: True is not of type 'integer'": {"n": True},
+        "config.m1: additional properties are not allowed ('depth')": {"m1": {"depth": 1.0}},
+    }
+    for message, override in cases.items():
+        with pytest.raises(ConfigError) as info:
+            load_config(None, override)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, path",
+    [
+        ('{"lam_max": NaN}', "config.lam_max"),
+        ('{"lam_max": Infinity}', "config.lam_max"),
+        ('{"m2": {"type": "truncated_spindle", "radius": Infinity, "cut": 1.0}}', "config.m2.radius"),
+        ('{"solver": {"mesh_h": NaN}}', "config.solver.mesh_h"),
+        ('{"epsilons": [Infinity, 0.1]}', "config.epsilons[0]"),
+    ],
+)
+def test_non_finite_numbers_are_rejected(tmp_path, capsys, text, path):
+    # json reads NaN and Infinity and the schema's bounds let them through;
+    # the enumeration and the mesher would then never end
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--eps", "0.1"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert record["message"].startswith(f"{path}: ") and record["message"].endswith(" is not a finite number")
+
+
+SCHEMA_KEYS = sorted({key for schema in (SCHEMA, SCHEMA["properties"]["m1"]) for key in schema["properties"]})
+LEAVES = st.one_of(
+    st.sampled_from([None, True, False, "", "q", "fem", "both", "json", "cone", "annulus", "out"]),
+    st.integers(min_value=-2, max_value=4),
+    st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 0.5, 1.0, 2.0, 3.0, 2.5]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3), st.dictionaries(st.sampled_from(SCHEMA_KEYS + ["extra"]), inner, max_size=2)
+    ),
+    max_leaves=4,
+)
+DRAFT_2020_12 = jsonschema.Draft202012Validator(SCHEMA)
+
+
+def near(schema):
+    """Values of a field's own type, at and around its bound, or any value."""
+    kind = schema.get("type")
+    if "enum" in schema:
+        fitting = st.sampled_from(schema["enum"] + ["q"])
+    elif kind in ("number", "integer"):
+        lo = schema.get("minimum", schema.get("exclusiveMinimum"))
+        fitting = st.sampled_from([lo - 1, lo, float(lo), lo + 0.5, lo + 1, float(lo + 1), True])
+    elif kind == "array":
+        fitting = st.lists(near(schema["items"]), max_size=3)
+    elif kind == "boolean":
+        fitting = st.booleans()
+    elif kind == "string":
+        fitting = st.text(max_size=3)
+    else:
+        return VALUES
+    return st.one_of(fitting, fitting, VALUES)
+
+
+def containers(value, schema):
+    """Every object and array in ``value``, each with the schema it must meet."""
+    yield value, schema
+    if isinstance(value, dict):
+        children = [(child, schema.get("properties", {}).get(key, {})) for key, child in value.items()]
+    else:
+        children = [(child, schema.get("items", {})) for child in value]
+    for child, sub in children:
+        if isinstance(child, (dict, list)):
+            yield from containers(child, sub)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_schema_interpreter_agrees_with_jsonschema(data):
+    # mutate the defaults anywhere: replace, add or delete a key of any
+    # object, or replace, append or clear the items of any array
+    cfg = copy.deepcopy(DEFAULTS)
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        target, schema = data.draw(st.sampled_from(list(containers(cfg, SCHEMA))))
+        if isinstance(target, dict):
+            key = data.draw(st.sampled_from(sorted(set(target) | set(schema.get("properties", {})) | {"extra"})))
+            if key in target and data.draw(st.booleans()):
+                del target[key]
+            else:
+                target[key] = data.draw(near(schema.get("properties", {}).get(key, {})))
+        else:
+            items = near(schema.get("items", {}))
+            action = data.draw(st.sampled_from(["set", "set", "append", "clear"] if target else ["append", "clear"]))
+            if action == "set":
+                target[data.draw(st.integers(min_value=0, max_value=len(target) - 1))] = data.draw(items)
+            elif action == "append":
+                target.append(data.draw(items))
+            else:
+                target.clear()
+    assert (_violation(SCHEMA, cfg) is None) == DRAFT_2020_12.is_valid(cfg)
 
 
 def test_integral_floats_read_as_integers(tmp_path):
@@ -318,15 +429,15 @@ def test_benchmark_workloads_match_their_references(tmp_path):
     assert failures == {"sweep": "[]", "crosscheck": "[]", "hodge": "[]"}
 
 
-def test_cli_import_leaves_scipy_optimize_unloaded():
-    # no command needs scipy.optimize, and importing it would cost every
-    # command about 0.09 s of start-up; run in a fresh interpreter, since
-    # other tests may have imported it into this one
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import sys; sys.path.insert(0, {str(src)!r})\nimport conesum.cli\nprint('scipy.optimize' in sys.modules)\n"
-    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True)
+def test_cli_import_leaves_jsonschema_and_scipy_optimize_unloaded():
+    # no command needs either, and importing them would cost every command
+    # start-up time and memory (scipy.optimize about 0.09 s, jsonschema about
+    # 0.1 s and 4 MB); run in a fresh interpreter, since the tests import both
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    code = "import conesum.cli, sys; print(sorted({'jsonschema', 'scipy.optimize'} & set(sys.modules)))"
+    proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 def test_console_entry_point():

@@ -510,6 +510,26 @@ def test_unresolved_mesh_is_rejected():
         fem_spectrum(prob, MeshSpec(h=0.05, radial_fraction=1e9), 40.0)
 
 
+def test_mesh_sizes_must_be_positive_and_finite():
+    # the mesher steps by h, radial_fraction * r and h * tip_floor: a zero,
+    # negative or NaN size never reaches the end of a segment
+    for bad in (0.0, -0.01, math.nan, math.inf):
+        with pytest.raises(DomainError, match="MeshSpec.h"):
+            make_mesh(geo.spindle(1.0), MeshSpec(h=bad))
+        with pytest.raises(DomainError, match="MeshSpec.radial_fraction"):
+            MeshSpec(radial_fraction=bad)
+        with pytest.raises(DomainError, match="MeshSpec.tip_floor"):
+            MeshSpec(tip_floor=bad)
+
+
+def test_channel_enumeration_needs_a_positive_finite_cap():
+    # the sphere modes are enumerated up to lam_max * R_max^2, which must be
+    # finite for the enumeration to end
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="lam_max"):
+            degree_problems(geo.spindle(1.0), 2, 0, bad)
+
+
 def test_fem_spectrum_raises_when_refinement_adds_an_eigenvalue():
     # elements of h/64 ~ r/2 at the absolute end r = 0.0033 leave the zero
     # mode at 20.4 on the coarse mesh, above the cap 19.75, and at 1.55 on

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -101,4 +103,8 @@ def test_domain_errors():
         coexact_eigenvalue(2, 0, 0)
     with pytest.raises(DomainError):
         enumerate_sphere_modes(1, 5.0)
+    # the k loop ends only once mu^2 exceeds the bound
+    for bound in (0.0, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            enumerate_sphere_modes(2, bound)
 
