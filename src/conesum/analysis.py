@@ -176,7 +176,7 @@ def _lowest(
         entries += zeros
         if lam_star < lam_max and not zeros and (
             prob.lower_bound() > lam_star
-            or (method != "secular" and _empty_below(prob, lam_star, method, mesh, want_fields))
+            or (method != "secular" and _empty_below(prob, lam_star, method, mesh))
         ):
             continue
         entries += _channel_spectrum(prob, len(zeros), lam_star, method, mesh, want_fields, cache)
@@ -227,19 +227,19 @@ def _channel_spectrum(
     ]
 
 
-def _empty_below(prob: ChannelProblem, cap: float, method: str, mesh: MeshSpec, want_fields: bool):
+def _empty_below(prob: ChannelProblem, cap: float, method: str, mesh: MeshSpec):
     """Whether counts show that FEM would find no positive eigenvalue below
-    cap of the channel, which has no zero mode: each problem
-    ``_channel_spectrum`` would give FEM (the channel with ``want_fields``,
-    else its slots) has no coarse eigenvalue below fem_spectrum's cap for
-    cap (``coarse_count``).  With method="both" the secular solver must
-    agree: each slot's Sturm count ``eigen_count`` at cap is its kernel
-    dimension, the cap count of ``_cross_validate`` with no FEM value; else
-    the channel is solved, and its count check raises.
+    cap of the channel, which has no zero mode: each of its scalar slots has
+    no coarse eigenvalue below fem_spectrum's cap for cap (``coarse_count``).
+    A coupled channel has the positive spectrum of its slots, so its own
+    pencil is assembled only to be solved.  With method="both" the secular
+    solver must agree: each slot's Sturm count ``eigen_count`` at cap is its
+    kernel dimension, the cap count of ``_cross_validate`` with no FEM
+    value; else the channel is solved, and its count check raises.
     """
-    solved = (prob,) if want_fields else prob.slot_problems()
-    return all(coarse_count(pr, mesh, cap) == 0 for pr in solved) and (
-        method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in prob.slot_problems())
+    slots = prob.slot_problems()
+    return all(coarse_count(s, mesh, cap) == 0 for s in slots) and (
+        method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in slots)
     )
 
 
@@ -597,26 +597,6 @@ class SweepReport:
     meta: dict
 
 
-def _sweep_one_eps(args: tuple) -> dict:
-    """Per degree, the zero-mode count, the k_track lowest positive
-    eigenvalues of M_eps and their boundary diagnostics at one eps.  Each
-    degree's values come from the search ``_degree_spectrum`` with fields,
-    and each diagnostic from the eigenform its value's entry carries (None
-    without one, as with method="secular").  Only numbers return, so the
-    pencils behind the fields end with the task."""
-    (m1, m2, n, degrees, eps, lam_max, k_track, mesh, method) = args
-    m_eps = connected_sum_profile(m1, m2, eps)
-    tracked = {}
-    for p in degrees:
-        res = _degree_spectrum(m_eps, n, p, lam_max, k_track, method, mesh, True, {})
-        entries = [res.positive_entry(k) for k in range(1, k_track + 1)]
-        diagnostics = [
-            boundary_diagnostics(e.field, eps, n, e.value) if e.field is not None else None for e in entries
-        ]
-        tracked[p] = (res.zero_count, [e.value for e in entries], diagnostics)
-    return tracked
-
-
 def sweep_epsilon(
     m1: Profile,
     m2: Profile,
@@ -627,7 +607,6 @@ def sweep_epsilon(
     k_track: int,
     mesh: MeshSpec | None = None,
     method: str = "fem",
-    jobs: int = 1,
 ) -> SweepReport:
     """Collapse experiment: spectra of M_eps against M1 over a decreasing eps list.
 
@@ -641,60 +620,55 @@ def sweep_epsilon(
     solved once per run.  The report's checks use TAKA_MARGIN and
     FINAL_REL_TOL at the last eps.
 
-    With jobs > 1 the per-epsilon M_eps work runs in a process pool of
-    min(jobs, len(epsilons)) workers, after the McGowan reports (a fork pool
-    starts all its workers at once, so more would only idle); every task is
-    a pure function, so the aggregated report is identical for any job
-    count.  A non-decreasing eps list, a repeated degree or jobs < 1 raises
-    DomainError.
+    One loop visits the eps in order.  Each pass computes that eps's McGowan
+    reports, then per degree of M_eps the zero-mode count, the tracked
+    values and the boundary diagnostics of their eigenforms (None without
+    one, as with method="secular").  The report keeps only numbers, so the
+    pencils behind the fields are freed as the loop moves on.  A
+    non-decreasing eps list or a repeated degree raises DomainError.
     """
     if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
         raise DomainError("epsilons must be strictly decreasing")
     if len(set(degrees)) < len(degrees):
         raise DomainError(f"degrees must not repeat, got {degrees}")
-    if jobs < 1:
-        raise DomainError(f"jobs must be at least 1, got {jobs}")
-    workers = min(jobs, len(epsilons))
     mesh = mesh or MeshSpec()
     rows: list[SweepRow] = []
     diagnostics: dict = {}
     zero_counts: dict = {}
+    mcg: dict = {}
 
     cache: dict = {}
     ref = {p: _degree_spectrum(m1, n, p, lam_max, k_track, method, mesh, False, cache) for p in degrees}
-    mcg = {(eps, p): mcgowan_report(m1, m2, n, p, eps, mesh, cache) for eps in epsilons for p in range(1, n + 1)}
-    tasks = [(m1, m2, n, degrees, eps, lam_max, k_track, mesh, method) for eps in epsilons]
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(epsilons, pool.map(_sweep_one_eps, tasks)))
-    else:
-        results = dict(zip(epsilons, map(_sweep_one_eps, tasks)))
-
     for eps in epsilons:
+        for p in range(1, n + 1):
+            mcg[(eps, p)] = mcgowan_report(m1, m2, n, p, eps, mesh, cache)
+        m_eps = connected_sum_profile(m1, m2, eps)
         for p in degrees:
-            zero_count, values, diags = results[eps][p]
-            zero_counts[(eps, p)] = zero_count
+            res = _degree_spectrum(m_eps, n, p, lam_max, k_track, method, mesh, True, {})
+            entries = [res.positive_entry(k) for k in range(1, k_track + 1)]
+            diags = [
+                boundary_diagnostics(e.field, eps, n, e.value) if e.field is not None else None for e in entries
+            ]
+            zero_counts[(eps, p)] = res.zero_count
+            diagnostics[(eps, p)] = diags
             ref_pos = ref[p].positive_values()
             mcg_val = mcg[(eps, p)].bound if (eps, p) in mcg else float("nan")
-            for k, (lam_e, d) in enumerate(zip(values, diags), start=1):
+            for k, (e, d) in enumerate(zip(entries, diags), start=1):
                 lam_1 = float(ref_pos[k - 1])
                 rows.append(
                     SweepRow(
                         eps=eps,
                         degree=p,
                         k=k,
-                        lam_eps=lam_e,
+                        lam_eps=e.value,
                         lam_m1=lam_1,
-                        abs_err=abs(lam_e - lam_1),
-                        rel_err=abs(lam_e - lam_1) / lam_1,
+                        abs_err=abs(e.value - lam_1),
+                        rel_err=abs(e.value - lam_1) / lam_1,
                         bord_ratio=d.ratio if d else float("nan"),
                         mcgowan=mcg_val,
-                        zero_count=zero_count,
+                        zero_count=res.zero_count,
                     )
                 )
-            diagnostics[(eps, p)] = diags
 
     checks = _sweep_checks(rows, mcg, zero_counts, epsilons, degrees)
     return SweepReport(

@@ -25,7 +25,7 @@ from .analysis import assemble_spectrum, mcgowan_report, sweep_epsilon
 from .aps_limit import ApsProblem, aps_kernel
 from .cone_operator import gamma_channels
 from .config import RunConfig, load_config
-from .errors import ConesumError
+from .errors import ConesumError, DomainError
 from .geometry import BCKind, connected_sum_profile, dodziuk_interval
 
 FMT = "%.12g"
@@ -130,13 +130,12 @@ def _svg_error_plot(path: Path, series: dict[str, list[tuple[float, float]]]):
 # subcommands
 
 
-def _cmd_modes(cfg: RunConfig, out: Path, fmt: str, seed: int = 0, **_):
+def _cmd_modes(cfg: RunConfig, out: Path, fmt: str, **_):
     from .cone_operator import aps_projector
 
     rows = []
     failures = []
     n = cfg.n
-    rng = np.random.default_rng(seed)
     for p in cfg.degrees:
         channels = gamma_channels(n, p, cfg.mu_sq_max)
         for ch in channels:
@@ -159,12 +158,11 @@ def _cmd_modes(cfg: RunConfig, out: Path, fmt: str, seed: int = 0, **_):
             ref = sorted(ch.block.gammas)
             if max(abs(a - b) for a, b in zip(ev, ref)) > 1e-12 * max(1.0, abs(ref[-1])):
                 failures.append(f"block eigenvalues off closed form at {ch.block.label}")
-        # completeness of the spectral projectors on random boundary data
+        # completeness of the spectral projectors: their sum is the identity
         proj = aps_projector(channels)
         for block in proj.blocks:
-            vec = rng.normal(size=block.size)
-            neg, pos = proj.split(block, vec)
-            if not np.allclose(neg + pos, vec, atol=1e-12):
+            total = proj.negative_matrix(block) + proj.positive_matrix(block)
+            if not np.allclose(total, np.eye(block.size), rtol=0.0, atol=1e-12):
                 failures.append(f"projector completeness broken at {block.label}")
     _write_table(out / "modes.csv", ["n", "q", "k", "mu_sq", "mult", "family", "gamma", "degree"], rows, cfg, fmt)
     return failures
@@ -212,6 +210,9 @@ def _cmd_spectrum(cfg: RunConfig, out: Path, fmt: str, eps: float | None = None,
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = False, **_):
+    # --jobs is accepted for existing callers and has no effect: the sweep runs in one process
+    if jobs < 1:
+        raise DomainError(f"jobs must be at least 1, got {jobs}")
     rep = sweep_epsilon(
         m1=cfg.m1(),
         m2=cfg.m2(),
@@ -222,7 +223,6 @@ def _cmd_sweep(cfg: RunConfig, out: Path, fmt: str, jobs: int = 1, svg: bool = F
         k_track=cfg.k_track,
         mesh=cfg.mesh(),
         method=cfg.method,
-        jobs=jobs,
     )
     rows = [
         [r.eps, r.degree, r.k, r.lam_eps, r.lam_m1, r.abs_err, r.rel_err, r.bord_ratio, r.mcgowan, r.zero_count]
@@ -336,8 +336,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=str, default=None, help="output directory override")
     parser.add_argument("--format", choices=["csv", "json"], default=None)
     parser.add_argument("--svg", action="store_true", help="emit SVG plots (sweep)")
-    parser.add_argument("--jobs", type=int, default=1, help="process parallelism for sweeps")
-    parser.add_argument("--seed", type=int, default=0, help="seed for randomized property checks")
+    parser.add_argument("--jobs", type=int, default=1, help="accepted and ignored: the sweep runs in one process")
     parser.add_argument("--eps", type=float, default=None, help="build the connected sum at this eps (spectrum)")
     parser.add_argument("--lambda", dest="lam", type=float, default=1.0, help="eigenvalue input (dodziuk)")
     parser.add_argument("--eta", type=float, default=0.0, help="metric pinching parameter (dodziuk)")
@@ -363,10 +362,7 @@ def main(argv: list[str] | None = None) -> int:
             "mcgowan": _cmd_mcgowan,
             "dodziuk": _cmd_dodziuk,
         }[args.command]
-        failures = handler(
-            cfg, out, fmt, eps=args.eps, jobs=args.jobs, svg=svg, lam=args.lam, eta=args.eta,
-            seed=args.seed,
-        )
+        failures = handler(cfg, out, fmt, eps=args.eps, jobs=args.jobs, svg=svg, lam=args.lam, eta=args.eta)
     except ConesumError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2

@@ -211,6 +211,8 @@ def load_config(path: str | Path | None = None, overrides: dict | None = None) -
             data = json.loads(Path(path).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(data, dict):  # _merge overlays objects only
+            raise ConfigError(_violation({"type": "object"}, data))
     merged = _merge(DEFAULTS, data)
     if overrides:
         merged = _merge(merged, overrides)

@@ -74,6 +74,15 @@ def test_schema_rejections(tmp_path):
             load_config(bad)
 
 
+@pytest.mark.parametrize("text", ["[1]", '"x"', "null"])
+def test_config_top_level_must_be_an_object(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError" and record["message"].endswith("is not of type 'object'")
+
+
 def test_schema_violations_name_their_path():
     cases = {
         "config.solver.method: 'q' is not one of ['fem', 'secular', 'both']": {"solver": {"method": "q"}},
@@ -342,6 +351,17 @@ def test_sweep_rejects_fewer_than_one_job(tmp_path, capsys):
     cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path), "--jobs", "0"]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
+def test_sweep_jobs_has_no_effect(tmp_path):
+    # --jobs is accepted for existing callers; the sweep runs in one process
+    cfg = write_cfg(tmp_path, degrees=[0, 1], epsilons=[0.2, 0.1], k_track=1, lam_max=15.0)
+    outs = []
+    for jobs in ("1", "4"):
+        out = tmp_path / jobs
+        assert main(["sweep", "--config", str(cfg), "--out", str(out), "--jobs", jobs]) == 0
+        outs.append([strip_timestamp((out / name).read_text()) for name in ("sweep.csv", "report.json")])
+    assert outs[0] == outs[1]
 
 
 def test_spectrum_connected_sum_flag(tmp_path):
