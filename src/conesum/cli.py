@@ -63,15 +63,11 @@ def _strict_json(obj) -> str:
 
 
 def _write_table(path: Path, header: list[str], rows: list[list], cfg: RunConfig, fmt: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
     if fmt == "json":
-        payload = {
-            "provenance": {"version": __version__, "config_sha256": cfg.hash()},
-            "columns": header,
-            "rows": [[float(_fmt(r)) if isinstance(r, float) else r for r in row] for row in rows],
-        }
-        path.with_suffix(".json").write_text(_strict_json(payload))
+        rows = [[float(_fmt(r)) if isinstance(r, float) else r for r in row] for row in rows]
+        _write_json(path.with_suffix(".json"), {"columns": header, "rows": rows}, cfg)
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = _provenance(cfg)
     lines.append(",".join(header))
     for row in rows:
@@ -131,8 +127,6 @@ def _svg_error_plot(path: Path, series: dict[str, list[tuple[float, float]]]):
 
 
 def _cmd_modes(cfg: RunConfig, out: Path, fmt: str, **_):
-    from .cone_operator import aps_projector
-
     rows = []
     failures = []
     n = cfg.n
@@ -158,12 +152,12 @@ def _cmd_modes(cfg: RunConfig, out: Path, fmt: str, **_):
             ref = sorted(ch.block.gammas)
             if max(abs(a - b) for a, b in zip(ev, ref)) > 1e-12 * max(1.0, abs(ref[-1])):
                 failures.append(f"block eigenvalues off closed form at {ch.block.label}")
-        # completeness of the spectral projectors: their sum is the identity
-        proj = aps_projector(channels)
-        for block in proj.blocks:
-            total = proj.negative_matrix(block) + proj.positive_matrix(block)
-            if not np.allclose(total, np.eye(block.size), rtol=0.0, atol=1e-12):
-                failures.append(f"projector completeness broken at {block.label}")
+        # each block's eigenvectors are orthonormal and diagonalise it: V^T V = I, V diag(gamma) V^T = A
+        for block in {id(ch.block): ch.block for ch in channels}.values():
+            v, tol = block.eigvecs, 1e-12 * max(1.0, max(abs(g) for g in block.gammas))
+            orthonormal = np.allclose(v.T @ v, np.eye(block.size), rtol=0.0, atol=tol)
+            if not orthonormal or not np.allclose((v * block.gammas) @ v.T, block.matrix, rtol=0.0, atol=tol):
+                failures.append(f"eigendecomposition off the block at {block.label}")
     _write_table(out / "modes.csv", ["n", "q", "k", "mu_sq", "mult", "family", "gamma", "degree"], rows, cfg, fmt)
     return failures
 

@@ -23,9 +23,11 @@ slot, degree q + 1); for constants and the volume form these are -n/2 and
 +n/2 in the appropriate degrees.
 
 Every eigenvalue gamma of A obeys |gamma| >= n/2, so 0 is never in the
-spectrum and A(A+1) is nonnegative.  The spectral projector on the
-negative part of A (one eigenvector per 2x2 block) is what the
-Atiyah-Patodi-Singer style boundary condition of the limit problem uses.
+spectrum and A(A+1) is nonnegative.  The Atiyah-Patodi-Singer style
+boundary condition of the limit problem keeps the negative part of A (one
+eigenvector per 2x2 block); the solvers read that sign rule straight from a
+block's ``gammas`` and ``eigvecs`` (``ChannelProblem.endpoint``,
+``first_order_kernel`` and ``boundary_diagnostics``).
 """
 
 from __future__ import annotations
@@ -91,10 +93,8 @@ class GammaChannel:
     """One scalar radial channel: an eigenvector of A seen from degree p."""
 
     gamma: float
-    total_degree: int
     multiplicity: int
     block: ABlock
-    eigvec: np.ndarray
 
 
 def _symmetric_block(mode: SphereMode, family: Family) -> ABlock:
@@ -175,53 +175,8 @@ def gamma_channels(n: int, p: int, mu_sq_max: float) -> list[GammaChannel]:
     for block in enumerate_blocks(n, mu_sq_max):
         if p not in block.degrees:
             continue
-        for i, g in enumerate(block.gammas):
-            channels.append(
-                GammaChannel(
-                    gamma=g,
-                    total_degree=p,
-                    multiplicity=block.mode.multiplicity,
-                    block=block,
-                    eigvec=block.eigvecs[:, i].copy(),
-                )
-            )
+        for g in block.gammas:
+            channels.append(GammaChannel(gamma=g, multiplicity=block.mode.multiplicity, block=block))
     level = lambda m: -1 if m.harmonic else m.k
     channels.sort(key=lambda c: (c.block.mode.q, level(c.block.mode), c.block.family.value, -c.gamma))
     return channels
-
-
-@dataclass(frozen=True, eq=False)
-class ApsProjector:
-    """Per-block spectral projectors of A on its negative / positive part."""
-
-    blocks: tuple[ABlock, ...]
-
-    def negative_matrix(self, block: ABlock) -> np.ndarray:
-        return self._part(block, lambda g: g < 0)
-
-    def positive_matrix(self, block: ABlock) -> np.ndarray:
-        return self._part(block, lambda g: g > 0)
-
-    @staticmethod
-    def _part(block: ABlock, keep) -> np.ndarray:
-        out = np.zeros((block.size, block.size))
-        for i, g in enumerate(block.gammas):
-            if keep(g):
-                v = block.eigvecs[:, i]
-                out += np.outer(v, v)
-        return out
-
-    def split(self, block: ABlock, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Decompose block-coordinate boundary data into (negative, positive) parts."""
-        values = np.asarray(values, dtype=float)
-        return self.negative_matrix(block) @ values, self.positive_matrix(block) @ values
-
-
-def aps_projector(channels: list[GammaChannel]) -> ApsProjector:
-    """Projector data for the distinct blocks referenced by ``channels``."""
-    seen: dict[int, ABlock] = {}
-    for ch in channels:
-        if ch.gamma == 0.0:
-            raise DomainError("0 in Spec(A): projector undefined")  # cannot happen for |gamma| >= n/2
-        seen.setdefault(id(ch.block), ch.block)
-    return ApsProjector(blocks=tuple(seen.values()))

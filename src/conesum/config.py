@@ -9,7 +9,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .geometry import BCKind, Profile, build_profile
 from .radial.fem import MeshSpec
 
@@ -178,6 +178,8 @@ class RunConfig:
     def m2(self, bc: BCKind | None = None) -> Profile:
         prof = build_profile(self.raw["m2"])
         if bc is not None:
+            if prof.start_radius == 0.0:
+                raise DomainError(f"the {bc.name} condition needs m2 to start with a boundary, not at a tip")
             prof = Profile(prof.segments, bc, prof.end_bc)
         return prof
 

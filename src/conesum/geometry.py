@@ -311,7 +311,13 @@ def split_segment(profile: Profile, seg_index: int, radius: float) -> Profile:
 
 def dodziuk_interval(lam: float, eta: float, n: int, p: int) -> tuple[float, float]:
     """Eigenvalue stability interval under metric pinching e^-eta g <= g' <= e^eta g."""
-    if lam < 0 or eta < 0:
-        raise DomainError("need lam >= 0 and eta >= 0")
+    if not (math.isfinite(lam) and math.isfinite(eta) and lam >= 0 and eta >= 0):
+        raise DomainError(f"need finite lam >= 0 and eta >= 0, got lam={lam}, eta={eta}")
     factor = (n + 2 * p) * eta
-    return lam * math.exp(-factor), lam * math.exp(factor)
+    try:
+        hi = lam * math.exp(factor)
+    except OverflowError:
+        hi = math.inf
+    if not math.isfinite(hi):
+        raise DomainError(f"the interval's upper end overflows at lam={lam}, eta={eta}")
+    return lam * math.exp(-factor), hi

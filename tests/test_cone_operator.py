@@ -2,14 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from conesum.cone_operator import (
     ALPHA,
     BETA,
-    ApsProjector,
     Family,
-    aps_projector,
     build_blocks,
     enumerate_blocks,
     gamma_channels,
@@ -150,29 +147,3 @@ def test_degree_duality_of_channel_multiset():
 def test_gamma_channels_domain():
     with pytest.raises(DomainError):
         gamma_channels(2, 4, 10.0)
-
-
-@given(st.integers(min_value=0, max_value=3), st.data())
-def test_projector_completeness(p, data):
-    chans = gamma_channels(2, p, 20.0)
-    proj = aps_projector(chans)
-    for block in proj.blocks:
-        vec = np.array(
-            [data.draw(st.floats(min_value=-5, max_value=5)) for _ in range(block.size)]
-        )
-        neg, pos = proj.split(block, vec)
-        assert np.allclose(neg + pos, vec, atol=1e-12)
-        pn = proj.negative_matrix(block)
-        assert np.allclose(pn @ pn, pn, atol=1e-12)
-        assert np.allclose(pn + proj.positive_matrix(block), np.eye(block.size), atol=1e-12)
-
-
-def test_projector_sign_classification():
-    chans = gamma_channels(2, 1, 2.5)
-    proj = aps_projector(chans)
-    for ch in chans:
-        neg, pos = proj.split(ch.block, ch.eigvec)
-        if ch.gamma < 0:
-            assert np.allclose(neg, ch.eigvec, atol=1e-12)
-        else:
-            assert np.allclose(pos, ch.eigvec, atol=1e-12)

@@ -6,7 +6,6 @@ import sys
 from pathlib import Path
 
 import jsonschema
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,6 +240,12 @@ def test_dodziuk_substitution(capsys):
     assert hi == pytest.approx(math.exp(0.4), rel=1e-11)
 
 
+@pytest.mark.parametrize("args", [["--lambda", "nan"], ["--lambda", "inf"], ["--eta", "inf"], ["--eta", "1e300"]])
+def test_dodziuk_rejects_nonfinite_inputs(args, capsys):
+    assert main(["dodziuk", *args]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
+
+
 def test_modes_output_contract(tmp_path):
     assert main(["modes", "--out", str(tmp_path)]) == 0
     lines = (tmp_path / "modes.csv").read_text().splitlines()
@@ -250,12 +255,19 @@ def test_modes_output_contract(tmp_path):
     assert any(",harmonic," in l for l in lines[3:])
 
 
-def test_modes_fails_on_a_broken_projector(tmp_path, monkeypatch):
-    # the completeness check compares both projected parts with the data
-    from conesum.cone_operator import ApsProjector
+def test_modes_fails_on_swapped_eigenvector_columns(tmp_path, monkeypatch, capsys):
+    # swapped columns stay orthonormal and keep the eigenvalues, so only
+    # V diag(gamma) V^T = A can see that each gamma has the other's eigenvector
+    from dataclasses import replace
 
-    monkeypatch.setattr(ApsProjector, "negative_matrix", lambda self, block: np.zeros((block.size, block.size)))
+    from conesum import cone_operator
+
+    build = cone_operator._symmetric_block
+    swapped = lambda mode, family: replace(build(mode, family), eigvecs=build(mode, family).eigvecs[:, ::-1])
+    monkeypatch.setattr(cone_operator, "_symmetric_block", swapped)
     assert main(["modes", "--out", str(tmp_path)]) == 1
+    failed = json.loads(capsys.readouterr().err)["failed_checks"]
+    assert failed and all(f.startswith("eigendecomposition off the block at") for f in failed)
 
 
 def test_modes_rerun_byte_identical(tmp_path):
@@ -273,6 +285,15 @@ def test_aps_kernel_output(tmp_path):
     assert payload["dims"] == {"0": 0, "1": 0, "2": 0, "3": 0}
     assert payload["total"] == 0
     assert "config_sha256" in payload["provenance"]
+
+
+@pytest.mark.parametrize("kind", ["spindle", "cone"])
+def test_aps_kernel_rejects_an_m2_that_starts_at_a_tip(tmp_path, capsys, kind):
+    cfg = write_cfg(tmp_path, m2={"type": kind, "radius": 2.0})
+    assert main(["aps-kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == "the APS condition needs m2 to start with a boundary, not at a tip"
 
 
 def test_spectrum_command(tmp_path):
@@ -452,12 +473,18 @@ def test_benchmark_workloads_match_their_references(tmp_path):
 def test_cli_import_leaves_jsonschema_and_scipy_optimize_unloaded():
     # no command needs either, and importing them would cost every command
     # start-up time and memory (scipy.optimize about 0.09 s, jsonschema about
-    # 0.1 s and 4 MB); run in a fresh interpreter, since the tests import both
+    # 0.1 s and 4 MB); run in a fresh interpreter, since the tests import both.
+    # Only the tests use the Sturm-Liouville oracle, and scipy.linalg must load
+    # before scipy.sparse (see the comment on that import in radial/fem.py)
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    code = "import conesum.cli, sys; print(sorted({'jsonschema', 'scipy.optimize'} & set(sys.modules)))"
+    code = (
+        "import conesum.cli, sys; m = list(sys.modules)\n"
+        "print(sorted({'jsonschema', 'scipy.optimize', 'conesum.radial.sturm'} & set(m)))\n"
+        "print(m.index('scipy.linalg') < m.index('scipy.sparse'))"
+    )
     proc = subprocess.run([sys.executable, "-B", "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split() == ["[]", "True"]
 
 
 def test_console_entry_point():

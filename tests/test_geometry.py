@@ -152,6 +152,15 @@ def test_dodziuk_identity_and_substitution():
     assert hi == pytest.approx(math.exp(0.4))
 
 
+@pytest.mark.parametrize(
+    "lam, eta",
+    [(-1.0, 0.0), (1.0, -0.1), (math.nan, 0.0), (1.0, math.nan), (math.inf, 0.0), (1.0, math.inf), (1.0, 1e300), (1e308, 1.0)],
+)
+def test_dodziuk_rejects_negative_or_nonfinite_inputs(lam, eta):
+    with pytest.raises(DomainError):
+        dodziuk_interval(lam, eta, 2, 1)
+
+
 @given(
     lam=st.floats(min_value=0.0, max_value=50.0),
     eta1=st.floats(min_value=0.0, max_value=1.0),
