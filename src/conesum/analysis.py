@@ -624,13 +624,16 @@ def sweep_epsilon(
     reports, then per degree of M_eps the zero-mode count, the tracked
     values and the boundary diagnostics of their eigenforms (None without
     one, as with method="secular").  The report keeps only numbers, so the
-    pencils behind the fields are freed as the loop moves on.  A
-    non-decreasing eps list or a repeated degree raises DomainError.
+    pencils behind the fields are freed as the loop moves on.  An empty or
+    non-decreasing eps list, an empty or repeating degree list and
+    k_track < 1 raise DomainError: each would leave rows to check missing.
     """
-    if any(a <= b for a, b in zip(epsilons, epsilons[1:])):
-        raise DomainError("epsilons must be strictly decreasing")
-    if len(set(degrees)) < len(degrees):
-        raise DomainError(f"degrees must not repeat, got {degrees}")
+    if not epsilons or any(a <= b for a, b in zip(epsilons, epsilons[1:])):
+        raise DomainError(f"epsilons must be non-empty and strictly decreasing, got {epsilons}")
+    if not degrees or len(set(degrees)) < len(degrees):
+        raise DomainError(f"degrees must not repeat or be empty, got {degrees}")
+    if k_track < 1:
+        raise DomainError(f"k_track must be at least 1, got {k_track}")
     mesh = mesh or MeshSpec()
     rows: list[SweepRow] = []
     diagnostics: dict = {}

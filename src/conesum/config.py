@@ -196,9 +196,12 @@ class RunConfig:
 
 
 def _merge(base: dict, override: dict) -> dict:
+    """``base`` overlaid with ``override``, object by object; an object that
+    names another model ``type`` replaces its base instead."""
     out = copy.deepcopy(base)
     for key, val in override.items():
-        if isinstance(val, dict) and isinstance(out.get(key), dict):
+        old = out.get(key)
+        if isinstance(val, dict) and isinstance(old, dict) and val.get("type", old.get("type")) == old.get("type"):
             out[key] = _merge(out[key], val)
         else:
             out[key] = copy.deepcopy(val)

@@ -225,8 +225,15 @@ def annulus(r_lo: float, r_hi: float, bc: BCKind = BCKind.ABSOLUTE) -> Profile:
 
 
 def build_profile(spec: dict) -> Profile:
-    """Profile from a model description as used in run configurations."""
+    """Profile from a model description as used in run configurations; an unknown
+    type, or a parameter that its type does not take, raises DomainError."""
     kind = spec.get("type")
+    takes = {"spindle": "radius", "truncated_spindle": "radius cut", "cone": "radius", "annulus": "r_lo r_hi"}
+    if not isinstance(kind, str) or kind not in takes:
+        raise DomainError(f"unknown model type {kind!r}")
+    extra = sorted(set(spec) - {"type", *takes[kind].split()})
+    if extra:
+        raise DomainError(f"model {kind!r} takes no parameter {extra[0]!r}")
     try:
         if kind == "spindle":
             return spindle(float(spec["radius"]))
@@ -234,11 +241,9 @@ def build_profile(spec: dict) -> Profile:
             return truncated_spindle(float(spec["radius"]), float(spec.get("cut", 1.0)))
         if kind == "cone":
             return cone(float(spec["radius"]))
-        if kind == "annulus":
-            return annulus(float(spec["r_lo"]), float(spec["r_hi"]))
+        return annulus(float(spec["r_lo"]), float(spec["r_hi"]))
     except KeyError as exc:
         raise DomainError(f"model {kind!r} is missing parameter {exc}") from None
-    raise DomainError(f"unknown model type {kind!r}")
 
 
 def connected_sum_profile(m1: Profile, m2: Profile, eps: float) -> Profile:

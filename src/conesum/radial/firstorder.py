@@ -68,48 +68,37 @@ def first_order_kernel(problem: ChannelProblem) -> KernelResult:
 
     segments: list[Segment] = list(profile.segments)
     allowed: list[list[int]] = [list(range(len(branches))) for _ in segments]
-    # exterior continuation for APS ends; merged when the junction is smooth
+    # exterior continuation for APS ends, merged when the junction is smooth;
+    # then tips suppress the branches singular at r = 0 (on one segment both
+    # ends share one ``allowed`` entry, so every continuation comes first)
     ext_allowed = [i for i, (g, _) in enumerate(branches) if g > 0.5]
-    if profile.start_bc is BCKind.APS:
-        first = segments[0]
-        r_ext = 2.0 * max(first.r_hi, 1.0)
-        if first.orientation < 0:
-            segments[0] = Segment(first.r_lo, r_ext, -1)
-            allowed[0] = ext_allowed
-        else:
-            segments.insert(0, Segment(first.r_lo, r_ext, -1))
-            allowed.insert(0, ext_allowed)
-    if profile.end_bc is BCKind.APS:
-        last = segments[-1]
-        r_ext = 2.0 * max(last.r_hi, 1.0)
-        if last.orientation > 0:
-            segments[-1] = Segment(last.r_lo, r_ext, +1)
-            allowed[-1] = ext_allowed
-        else:
-            segments.append(Segment(last.r_lo, r_ext, +1))
-            allowed.append(ext_allowed)
-
-    # tips: suppress branches singular at r = 0
-    if profile.start_bc is BCKind.REGULAR_TIP:
-        allowed[0] = [i for i in allowed[0] if branches[i][0] < 0]
-    if profile.end_bc is BCKind.REGULAR_TIP:
-        allowed[-1] = [i for i in allowed[-1] if branches[i][0] < 0]
+    ends = (("start", profile.start_bc, 0, -1), ("end", profile.end_bc, -1, +1))  # outward orientation last
+    for _, bc, idx, outward in ends:
+        if bc is BCKind.APS:
+            seg = segments[idx]
+            ext = Segment(seg.r_lo, 2.0 * max(seg.r_hi, 1.0), outward)
+            if seg.orientation == outward:
+                segments[idx], allowed[idx] = ext, ext_allowed
+            else:
+                pos = 0 if outward < 0 else len(segments)
+                segments.insert(pos, ext)
+                allowed.insert(pos, ext_allowed)
+    for _, bc, idx, _ in ends:
+        if bc is BCKind.REGULAR_TIP:
+            allowed[idx] = [i for i in allowed[idx] if branches[i][0] < 0]
 
     offsets = np.cumsum([0] + [len(a) for a in allowed])
     n_unknowns = int(offsets[-1])
     if n_unknowns == 0:
         return KernelResult(0, False)
 
-    def dsign(seg: Segment) -> np.ndarray:
-        return problem.orientation_signs(seg.orientation)
-
     def trace_columns(seg_idx: int, radius: float) -> np.ndarray:
         """Global-coordinate trace of each allowed branch at the given radius."""
-        seg = segments[seg_idx]
+        dsign = problem.orientation_signs(segments[seg_idx].orientation)
         cols = np.zeros((size, len(allowed[seg_idx])))
         for j, b in enumerate(allowed[seg_idx]):
             gamma, w = branches[b]
-            cols[:, j] = dsign(seg) * w * radius ** (-gamma)
+            cols[:, j] = dsign * w * radius ** (-gamma)
         return cols
 
     rows: list[np.ndarray] = []
@@ -127,13 +116,11 @@ def first_order_kernel(problem: ChannelProblem) -> KernelResult:
 
     # boundary rows at exposed ends, one per dropped slot (APS already handled
     # by the extension)
-    for which, bc, seg_idx, radius in (
-        ("start", profile.start_bc, 0, segments[0].radius_at_entry()),
-        ("end", profile.end_bc, len(segments) - 1, segments[-1].radius_at_exit()),
-    ):
+    for which, bc, idx, outward in ends:
         if bc in (BCKind.REGULAR_TIP, BCKind.APS):
             continue
-        cols = trace_columns(seg_idx, radius)
+        seg_idx = idx % len(segments)
+        cols = trace_columns(seg_idx, profile.start_radius if outward < 0 else profile.end_radius)
         for comp in np.flatnonzero(problem.endpoint(which).drop):
             full = np.zeros(n_unknowns)
             full[offsets[seg_idx] : offsets[seg_idx + 1]] = cols[comp]

@@ -7,8 +7,9 @@ sqrt(r) J_nu(k r), sqrt(r) Y_nu(k r) with k = sqrt(lam) > 0 and
 nu = |gamma+1/2|.  The state (u, u') admissible at the left end of the
 profile and the one admissible at the right end are propagated to an
 interior matching breakpoint, applying the derivative jump at each crossed
-seam.  That one walk has two readings: eigenvalues are the lam where the two
-states are parallel, i.e. the zeros of their 2x2 determinant
+seam, each by one half-walk, the right one on the reversed profile.  That
+one walk has two readings: eigenvalues are the lam where the two states
+are parallel, i.e. the zeros of their 2x2 determinant
 (:func:`secular_value`), and the number of eigenvalues below lam is the
 number of zeros of u on the two walks plus one comparison of Pruefer angles
 at the matching breakpoint (:func:`eigen_count`).  The count is exact: every
@@ -33,6 +34,7 @@ overflow.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -85,84 +87,78 @@ def _sign_changes(samples: list) -> np.ndarray:
     return np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
 
 
-def _walk(problem: ChannelProblem, lam, count: bool):
-    """Carry the left and right admissible states to the matching breakpoint.
+def _jump(states: np.ndarray, K) -> np.ndarray:
+    """States past a seam crossed rightward: u' gains K u (K None: a smooth breakpoint)."""
+    return states if K is None else np.column_stack([states[:, 0], states[:, 1] + K[0, 0] * states[:, 0]])
 
-    Returns the secular determinant at each lam, or with ``count`` the number
-    N(lam) of eigenvalues below lam: the zeros of u on the two walks plus
-    [theta_L > theta_R], where theta = atan2(u, u') is the Pruefer angle at
-    the matching breakpoint, the left one taken in (0, pi] and the right one
-    in [0, pi).  An end state sitting at the matching breakpoint keeps its
-    own angle in [0, pi) on the left and (0, pi] on the right.
+
+def _half_walk(problem: ChannelProblem, k: np.ndarray, stop: int, count: bool):
+    """Carry the states admissible at the profile's start rightward to breakpoint ``stop``.
+
+    Returns the states (u, u') at ``stop`` as the limit from its left, no
+    jump at ``stop`` applied, and the list of u walked so far.  A tip start
+    is the tip-regular J branch across the whole first segment.
     """
-    lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0):
-        raise DomainError(f"the secular walk needs lam > 0, got {lam}")
-    k = np.sqrt(lam).reshape(-1, 1)
-    nu = problem.nu
-    profile = problem.profile
-    segs = profile.segments
-    nseg = len(segs)
-    seams = problem.seam_matrices()
+    nu, segs = problem.nu, problem.profile.segments
+    seams = [None, *problem.seam_matrices()]  # by breakpoint; the start has none
+    tip = problem.profile.start_bc is BCKind.REGULAR_TIP
+    kmax = k.max(initial=0.0) if count else 0.0  # a count samples u at a spacing below pi / k
 
-    def steps(length):
-        """Sample intervals on a walked length: each below pi / k for a count."""
-        return int(k.max(initial=0.0) * length / math.pi) + 1 if count else 1
-
-    def cross(states, i, forward, samples):
-        """Carry states across segment i, entry to exit if ``forward``;
-        append u at the points past the entry to ``samples``."""
+    if tip:
+        radius = segs[0].radius_at_exit()
+        f = _fundamental_matrix(nu, k, np.linspace(0.0, radius, int(kmax * radius / math.pi) + 2)[1:])
+        states, samples = np.column_stack([f[:, -1, 0, 0], segs[0].orientation * f[:, -1, 1, 0]]), [f[:, :, 0, 0]]
+    else:
+        data = problem.endpoint("start")
+        states = np.tile([0.0, 1.0] if data.drop[0] else [1.0, float(data.k_matrix[0, 0])], (len(k), 1))
+        samples = [states[:, :1]]
+    for i in range(int(tip), stop):
         seg = segs[i]
-        radii = np.linspace(seg.radius_at_entry(), seg.radius_at_exit(), steps(seg.length) + 1)
-        f = _fundamental_matrix(nu, k, radii if forward else radii[::-1])
+        states = _jump(states, seams[i])
+        radii = np.linspace(seg.radius_at_entry(), seg.radius_at_exit(), int(kmax * seg.length / math.pi) + 2)
+        f = _fundamental_matrix(nu, k, radii)
         scale = np.abs(f[:, :1]).max(axis=-2, keepdims=True)
         scale[scale == 0] = 1.0
         flip = np.array([1.0, float(seg.orientation)])
         coeff = np.linalg.solve(f[:, 0] / scale[:, 0], (flip * states)[..., None])
         walked = (f[:, 1:] / scale) @ coeff[:, None]
         samples.append(walked[:, :, 0, 0])
-        return _normalize(flip * walked[:, -1, :, 0])
+        states = _normalize(flip * walked[:, -1, :, 0])
+    return states, samples
 
-    def jump(states, b, direction):
-        """Apply the seam jump at interior breakpoint b, crossing rightward (+1) or leftward (-1)."""
-        K = seams[b - 1]
-        if K is None:
-            return states
-        return np.column_stack([states[:, 0], states[:, 1] + direction * K[0, 0] * states[:, 0]])
 
-    def end_state(which, tip_seg, radius):
-        """States admissible at an exposed end, or the tip-regular J branch at
-        ``radius`` with u sampled on (0, radius]; also the list of u walked so far."""
-        if (profile.start_bc if which == "start" else profile.end_bc) is BCKind.REGULAR_TIP:
-            f = _fundamental_matrix(nu, k, np.linspace(0.0, radius, steps(radius) + 1)[1:])
-            return np.column_stack([f[:, -1, 0, 0], segs[tip_seg].orientation * f[:, -1, 1, 0]]), [f[:, :, 0, 0]]
-        data = problem.endpoint(which)
-        end = [0.0, 1.0] if data.drop[0] else [1.0, (1 if which == "start" else -1) * float(data.k_matrix[0, 0])]
-        state = np.tile(end, (len(k), 1))
-        return state, [state[:, :1]]
+def _walk(problem: ChannelProblem, lam, count: bool):
+    """Carry the left and right admissible states to the matching breakpoint.
+
+    The left states are a :func:`_half_walk` of ``problem``, jumped at the
+    matching seam; the right ones a half-walk of the mirrored problem (the
+    reversed profile), with u' negated since t runs the other way there.
+    Returns the secular determinant at each lam, or with ``count`` the
+    number N(lam) of eigenvalues below lam: the zeros of u on the two walks
+    plus [theta_L > theta_R], where theta = atan2(u, u') is the Pruefer
+    angle at the matching breakpoint, the left one taken in (0, pi] and the
+    right one in [0, pi), except that an end state sitting there keeps its
+    own angle in [0, pi) on the left and (0, pi] on the right.
+    """
+    lam = np.asarray(lam, dtype=float)
+    if not np.all(lam > 0):
+        raise DomainError(f"the secular walk needs lam > 0, got {lam}")
+    k = np.sqrt(lam).reshape(-1, 1)
+    profile = problem.profile
+    nseg = len(profile.segments)
 
     # matching breakpoint: interior breakpoint of largest radius, else the
     # single segment's non-tip end, where a tip's regular state is evaluated
     if nseg > 1:
-        match = 1 + int(np.argmax([s.radius_at_exit() for s in segs[:-1]]))
+        match = 1 + int(np.argmax([s.radius_at_exit() for s in profile.segments[:-1]]))
     else:
         match = 0 if profile.end_bc is BCKind.REGULAR_TIP else 1
 
-    # left states walk rightward from their end to breakpoint `match`,
-    # jumping at every interior breakpoint on the way, `match` included
-    left, left_u = end_state("start", 0, segs[0].radius_at_exit())
-    for b in range(1 if profile.start_bc is BCKind.REGULAR_TIP else 0, match + 1):
-        if 1 <= b <= nseg - 1:
-            left = jump(left, b, +1)
-        if b < match:
-            left = cross(left, b, True, left_u)
-
-    # right states walk leftward to `match`, jumping at the breakpoints past it
-    right, right_u = end_state("end", nseg - 1, segs[-1].radius_at_entry())
-    for b in range(nseg - 1 if profile.end_bc is BCKind.REGULAR_TIP else nseg, match, -1):
-        if b <= nseg - 1:
-            right = jump(right, b, -1)
-        right = cross(right, b - 1, False, right_u)
+    left, left_u = _half_walk(problem, k, match, count)
+    if 0 < match < nseg:
+        left = _jump(left, problem.seam_matrices()[match - 1])
+    right, right_u = _half_walk(dataclasses.replace(problem, profile=profile.reversed()), k, nseg - match, count)
+    right = right * [1.0, -1.0]
 
     if count:
         theta_l, theta_r = (np.arctan2(s[:, 0], s[:, 1]) % math.pi for s in (left, right))
@@ -180,14 +176,15 @@ def secular_value(problem: ChannelProblem, lam):
 
     ``lam`` is a float or an array; the result has its shape.  The value is
     the determinant of the left and right states, each scaled to max-norm 1,
-    so it lies in [-2, 2] and is linear in lam at a simple eigenvalue.
-    States are tracked per breakpoint with a side convention: the seam jump
-    at an interior breakpoint maps the limit from the left segment to the
-    limit from the right segment.  Orientation flips of BETA slots multiply
-    a whole state by -1, which commutes with every map here, so only the
-    t-versus-r sign of the derivative enters.  lam <= 0 and a coupled
-    problem raise DomainError: solve a coupled problem's
-    ``slot_problems()`` instead.
+    so it lies in [-2, 2] and is linear in lam at a simple eigenvalue.  Each
+    end state is set in the coordinate running inward from its end: an end
+    that drops its dof starts from (u, u') = (0, 1) at the start and from
+    (0, -1) in t at the end.  The seam jump at an interior breakpoint maps
+    the limit from the left segment to the limit from the right segment.
+    Orientation flips of BETA slots multiply a whole state by -1, which
+    commutes with every map here, so only the t-versus-r sign of the
+    derivative enters.  lam <= 0 and a coupled problem raise DomainError:
+    solve a coupled problem's ``slot_problems()`` instead.
     """
     return _walk(problem, lam, count=False)
 

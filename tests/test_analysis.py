@@ -410,6 +410,21 @@ def test_sweep_rejects_a_repeated_degree():
         sweep_epsilon(spindle(1.0), truncated_spindle(2.0, 1.0), 2, [0, 0], [0.2, 0.1], 20.0, 2, MeshSpec(h=0.02))
 
 
+@pytest.mark.parametrize(
+    "degrees, epsilons, k_track, message",
+    [
+        ([], [0.2], 2, "degrees must not repeat or be empty"),
+        ([0], [], 2, "epsilons must be non-empty"),
+        ([0], [0.2], 0, "k_track must be at least 1"),
+        ([0], [0.2], -1, "k_track must be at least 1"),
+    ],
+)
+def test_sweep_rejects_a_sweep_without_rows(degrees, epsilons, k_track, message):
+    # with no rows every check of the report would hold vacuously
+    with pytest.raises(DomainError, match=message):
+        sweep_epsilon(spindle(1.0), truncated_spindle(2.0, 1.0), 2, degrees, epsilons, 20.0, k_track, MESH)
+
+
 def test_sweep_computes_only_the_tracked_eigenforms(monkeypatch):
     # ARPACK returns values only; an eigenform comes from inverse iteration,
     # and only for a tracked row's eigenvalue

@@ -177,3 +177,19 @@ def test_kernel_invariant_under_exterior_choice():
         )
         # no singular value in (1e-10, 1e-8] sigma_max: the rank is the same at both cuts
         assert not fo.first_order_kernel(prob).near_singular
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "profile",
+    [aps_m2(), geo.annulus(1.0, 2.0, bc=BCKind.APS), geo.cone(1.0, bc=BCKind.APS)],
+    ids=["truncated_spindle", "annulus", "cone"],
+)
+def test_kernel_invariant_under_reversal(profile, n):
+    # each end is continued or capped by the same rule; on the cone the APS
+    # end and the tip share one segment, whose singular branches stay out
+    a, b = (aps_kernel(ApsProblem(profile=pr, n=n)) for pr in (profile, profile.reversed()))
+    assert a.dims == b.dims
+    assert [(c.label, c.dim, c.near_singular) for c in a.contributions] == [
+        (c.label, c.dim, c.near_singular) for c in b.contributions
+    ]

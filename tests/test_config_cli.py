@@ -296,6 +296,22 @@ def test_aps_kernel_rejects_an_m2_that_starts_at_a_tip(tmp_path, capsys, kind):
     assert err["message"] == "the APS condition needs m2 to start with a boundary, not at a tip"
 
 
+def test_a_model_of_another_type_replaces_the_default_model():
+    # the default m2's cut would be a parameter an annulus does not take
+    annulus = {"type": "annulus", "r_lo": 1.0, "r_hi": 2.0}
+    assert load_config(None, {"m2": annulus}).raw["m2"] == annulus
+    amended = {"type": "truncated_spindle", "radius": 3.0, "cut": 1.0}
+    assert load_config(None, {"m2": {"radius": 3.0}}).raw["m2"] == amended
+
+
+def test_a_model_parameter_its_model_does_not_take_exits_2(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, m1={"type": "spindle", "radius": 1.0, "cut": 0.5})
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path), "--eps", "0.1"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "DomainError"
+    assert err["message"] == "model 'spindle' takes no parameter 'cut'"
+
+
 def test_spectrum_command(tmp_path):
     cfg = write_cfg(tmp_path, degrees=[0], lam_max=15.0)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 0

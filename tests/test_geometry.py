@@ -127,6 +127,20 @@ def test_build_profile_dispatch():
         build_profile({"type": "torus"})
 
 
+@pytest.mark.parametrize(
+    "spec, name",
+    [
+        ({"type": "spindle", "radius": 1.0, "cut": 0.5}, "cut"),
+        ({"type": "cone", "radius": 2.0, "r_lo": 0.5}, "r_lo"),
+        ({"type": "truncated_spindle", "radius": 2.0, "r_hi": 3.0}, "r_hi"),
+        ({"type": "annulus", "r_lo": 1.0, "r_hi": 2.0, "radius": 2.0}, "radius"),
+    ],
+)
+def test_build_profile_rejects_a_parameter_its_model_does_not_take(spec, name):
+    with pytest.raises(DomainError, match=f"model '{spec['type']}' takes no parameter '{name}'"):
+        build_profile(spec)
+
+
 def test_constructor_validation():
     with pytest.raises(DomainError):
         truncated_spindle(1.0, 1.0)

@@ -832,10 +832,18 @@ some_mirrored = st.one_of(
 )
 
 
-def dirichlet_ends(profile):
-    """The profile with each end that is not a tip made Dirichlet-like."""
-    bc = {end: end if end is BCKind.REGULAR_TIP else BCKind.DIRICHLET_LIKE for end in BCKind}
-    return dataclasses.replace(profile, start_bc=bc[profile.start_bc], end_bc=bc[profile.end_bc])
+def exposed_ends(kind):
+    """Map a profile to the same profile with each end that is not a tip given ``kind``."""
+
+    def remap(profile):
+        bc = {end: end if end is BCKind.REGULAR_TIP else kind for end in BCKind}
+        return dataclasses.replace(profile, start_bc=bc[profile.start_bc], end_bc=bc[profile.end_bc])
+
+    return remap
+
+
+dirichlet_ends = exposed_ends(BCKind.DIRICHLET_LIKE)
+aps_ends = exposed_ends(BCKind.APS)
 
 
 @settings(max_examples=20, deadline=None)
@@ -1035,6 +1043,26 @@ def test_secular_spectrum_invariant_under_split_segment_on_random_profiles(profi
     assert len(split.entries) == len(base.entries)
     assert split.zero_count == base.zero_count
     assert split.positive_values() == pytest.approx(base.positive_values(), rel=1e-10, abs=0)
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    profile=st.one_of(some_mirrored, some_mirrored.map(dirichlet_ends), some_mirrored.map(aps_ends)),
+    n=st.sampled_from([2, 3]),
+)
+def test_secular_solver_invariant_under_reversal_on_random_profiles(profile, n):
+    # the right half of the walk is the left half run on the reversed
+    # profile, so reversing the profile swaps the two halves; every scalar
+    # slot (coupled channels at Dirichlet-like or APS ends have none) keeps
+    # its count at every lam and its spectrum
+    lams = np.geomspace(0.05, 20.0, 41)
+    for p in range(n + 2):
+        pairs = zip(problems_for(profile, n, p, 10.0), problems_for(profile.reversed(), n, p, 10.0))
+        for slot, back in ((a, b) for a, b in pairs if a.size == 1):
+            assert slot.label == back.label
+            assert eigen_count(back, lams).tolist() == eigen_count(slot, lams).tolist(), slot.label
+            expected = transfer_spectrum(slot, 10.0).values()
+            assert transfer_spectrum(back, 10.0).values() == pytest.approx(expected, rel=1e-10, abs=0), slot.label
 
 
 @settings(max_examples=10, deadline=None)
