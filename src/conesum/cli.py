@@ -286,11 +286,11 @@ def _cmd_aps_kernel(cfg: RunConfig, out: Path, fmt: str, **_):
         "total": rep.total,
     }
     _write_json(out / "aps_kernel.json", payload, cfg)
-    failures = []
+    # Hodge duality pairs degrees p and n+1-p only if M2's far end is a tip:
+    # the star turns an absolute far end into a relative one
     m = cfg.n + 1
-    for p in range(m + 1):
-        if rep.dims.get(p, 0) != rep.dims.get(m - p, 0):
-            failures.append(f"kernel degree symmetry broken at p={p}")
+    pairs = range(m + 1) if problem.profile.end_bc is BCKind.REGULAR_TIP else ()
+    failures = [f"kernel degree symmetry broken at p={p}" for p in pairs if rep.dims.get(p, 0) != rep.dims.get(m - p, 0)]
     if rep.mixed:
         failures.append("mixed-degree kernel contributions present")
     return failures

@@ -465,8 +465,8 @@ def fem_spectrum(
     L2 norm.  The fields share the fine pencil, and each computes its
     eigenvector only when its ``coeffs`` are first read.
     """
-    if lam_max <= 0:
-        raise DomainError(f"lam_max must be positive, got {lam_max}")
+    if not 0 < lam_max < math.inf:
+        raise DomainError(f"lam_max must be positive and finite, got {lam_max}")
     nodes1 = make_mesh(problem.profile, mesh)
     nodes2 = refine_mesh(nodes1)
     lam_cap = pencil_cap(lam_max)

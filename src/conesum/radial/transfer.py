@@ -7,19 +7,19 @@ sqrt(r) J_nu(k r), sqrt(r) Y_nu(k r) with k = sqrt(lam) > 0 and
 nu = |gamma+1/2|.  The state (u, u') admissible at the left end of the
 profile and the one admissible at the right end are propagated to an
 interior matching breakpoint, applying the derivative jump at each crossed
-seam, each by one half-walk, the right one on the reversed profile.  That
-one walk has two readings: eigenvalues are the lam where the two states
-are parallel, i.e. the zeros of their 2x2 determinant
-(:func:`secular_value`), and the number of eigenvalues below lam is the
-number of zeros of u on the two walks plus one comparison of Pruefer angles
-at the matching breakpoint (:func:`eigen_count`).  The count is exact: every
-slot has c = gamma(gamma+1) >= 0, so by Sturm comparison the zeros of u lie
-at least pi/k apart, and u sampled at a spacing below pi/k changes sign once
-per zero; seams only jump u'.  :func:`transfer_spectrum` isolates each
-eigenvalue by bisection on the count and refines it on the determinant;
-it serves ``method="secular"``.  The FEM cross-check of ``method="both"``
-reads the count alone (``conesum.analysis._cross_validate``): one walk at
-the ends of every FEM value's tolerance bracket and at the cap.
+seam, each by one half-walk, the right one on the reversed profile.  Each
+half-walk ends with a lifted Pruefer angle atan2(u, u') in its own
+coordinate, continuous and increasing in lam (Pryce, *Numerical Solution of
+Sturm-Liouville Problems*, 1993); their sum S(lam) is a multiple of pi
+exactly where the two states are parallel.  So :func:`eigen_count`, the
+number of eigenvalues below lam, is ceil(S/pi) - 1, and
+:func:`transfer_spectrum` (``method="secular"``) finds eigenvalue j, zero
+modes first, as the lam where S = (j+1) pi.  The lift is exact: every slot
+has c = gamma(gamma+1) >= 0, so by Sturm comparison the zeros of u lie at
+least pi/k apart, and u sampled at a spacing below pi/k changes sign once
+per zero; seams only jump u'.  ``method="both"`` reads the count alone
+(``conesum.analysis._cross_validate``).  :func:`secular_value` reads the
+same walk as the determinant of the two states; the solver does not use it.
 
 Only scalar problems are solved.  A coupled PLUS_HALF problem is handed to
 :func:`transfer_spectrum` as its two single-slot problems
@@ -45,8 +45,8 @@ from .bessel import jy_arrays
 from .firstorder import first_order_kernel
 from .problems import ChannelProblem, Eigenvalue, EigList
 
-REFINE_XTOL = 1e-13  # absolute tolerance of the root refinement on k = sqrt(lam)
-MAX_STEPS = 200  # bisection or refinement steps of one slot before ConvergenceError
+MAX_STEPS = 200  # halvings or refinement steps of one slot before ConvergenceError
+ILLINOIS_STEPS = 24  # refinement steps before every other one bisects
 
 
 def _fundamental_matrix(nu: float, k, r) -> np.ndarray:
@@ -75,16 +75,20 @@ def _normalize(states: np.ndarray) -> np.ndarray:
     return states / scale
 
 
-def _sign_changes(samples: list) -> np.ndarray:
-    """Sign changes along each row of the samples joined end to end.
+def _lifted_angle(samples: list, states: np.ndarray) -> np.ndarray:
+    """Lifted Pruefer angle atan2(u, u') of ``states`` at the end of a walk with u ``samples``.
 
-    Zeros are skipped, so an exact zero between opposite signs counts once
-    and a zero at either end of a row counts not at all.
+    The samples, one row per lam, end at the walk's end.  Every sign change
+    before that adds pi (zeros are skipped, so an exact zero between opposite
+    signs counts once); the rest is atan2(s u, s u') mod 2 pi, with s the
+    sign of the last nonzero earlier sample, or +1 if there is none.
     """
-    s = np.sign(np.concatenate(samples, axis=1))
+    s = np.sign(np.concatenate([np.zeros((len(states), 1)), *samples], axis=1)[:, :-1])
     last = np.maximum.accumulate(np.where(s != 0, np.arange(s.shape[1]), 0), axis=1)
     s = np.take_along_axis(s, last, axis=1)
-    return np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1)
+    sign = np.where(s[:, -1] < 0, -1.0, 1.0)
+    phase = np.arctan2(sign * states[:, 0], sign * states[:, 1]) % (2 * math.pi)
+    return math.pi * np.count_nonzero(s[:, 1:] * s[:, :-1] < 0, axis=1) + phase
 
 
 def _jump(states: np.ndarray, K) -> np.ndarray:
@@ -132,17 +136,14 @@ def _walk(problem: ChannelProblem, lam, count: bool):
 
     The left states are a :func:`_half_walk` of ``problem``, jumped at the
     matching seam; the right ones a half-walk of the mirrored problem (the
-    reversed profile), with u' negated since t runs the other way there.
-    Returns the secular determinant at each lam, or with ``count`` the
-    number N(lam) of eigenvalues below lam: the zeros of u on the two walks
-    plus [theta_L > theta_R], where theta = atan2(u, u') is the Pruefer
-    angle at the matching breakpoint, the left one taken in (0, pi] and the
-    right one in [0, pi), except that an end state sitting there keeps its
-    own angle in [0, pi) on the left and (0, pi] on the right.
+    reversed profile), in its own coordinate t, which runs the other way.
+    Returns the secular determinant at each lam, with the right u' negated
+    into the left coordinate, or with ``count`` the sum S(lam) of the two
+    halves' lifted Pruefer angles (:func:`_lifted_angle`).
     """
     lam = np.asarray(lam, dtype=float)
-    if not np.all(lam > 0):
-        raise DomainError(f"the secular walk needs lam > 0, got {lam}")
+    if not np.all((lam > 0) & np.isfinite(lam)):
+        raise DomainError(f"the secular walk needs finite lam > 0, got {lam}")
     k = np.sqrt(lam).reshape(-1, 1)
     profile = problem.profile
     nseg = len(profile.segments)
@@ -158,15 +159,11 @@ def _walk(problem: ChannelProblem, lam, count: bool):
     if 0 < match < nseg:
         left = _jump(left, problem.seam_matrices()[match - 1])
     right, right_u = _half_walk(dataclasses.replace(problem, profile=profile.reversed()), k, nseg - match, count)
-    right = right * [1.0, -1.0]
 
     if count:
-        theta_l, theta_r = (np.arctan2(s[:, 0], s[:, 1]) % math.pi for s in (left, right))
-        theta_l[(theta_l == 0) & (match > 0)] = math.pi
-        theta_r[(theta_r == 0) & (match == nseg)] = math.pi
-        out = _sign_changes(left_u) + _sign_changes(right_u) + (theta_l > theta_r)
+        out = _lifted_angle(left_u, left) + _lifted_angle(right_u, right)
     else:
-        left, right = _normalize(left), _normalize(right)
+        left, right = _normalize(left), _normalize(right * [1.0, -1.0])
         out = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
     return out[0].item() if lam.ndim == 0 else out.reshape(lam.shape)
 
@@ -183,8 +180,8 @@ def secular_value(problem: ChannelProblem, lam):
     the limit from the left segment to the limit from the right segment.
     Orientation flips of BETA slots multiply a whole state by -1, which
     commutes with every map here, so only the t-versus-r sign of the
-    derivative enters.  lam <= 0 and a coupled problem raise DomainError:
-    solve a coupled problem's ``slot_problems()`` instead.
+    derivative enters.  lam <= 0, a non-finite lam and a coupled problem
+    raise DomainError: solve a coupled problem's ``slot_problems()`` instead.
     """
     return _walk(problem, lam, count=False)
 
@@ -193,48 +190,50 @@ def eigen_count(problem: ChannelProblem, lam):
     """Number of eigenvalues below each lam > 0 of a scalar problem, zero modes included.
 
     ``lam`` is a float or an array; the result has its shape.  The count is
-    read off the same walk as :func:`secular_value` and raises as it does.
+    ceil(S/pi) - 1 of the angle sum S that :func:`_slot_roots` solves, read
+    off the same walk as :func:`secular_value`, and raises as it does.
     """
-    return _walk(problem, lam, count=True)
+    n = np.ceil(np.divide(_walk(problem, lam, count=True), math.pi)).astype(int) - 1
+    return n.item() if n.ndim == 0 else n
 
 
 def _slot_roots(slot: ChannelProblem, kmax: float) -> np.ndarray:
     """Positive eigenvalues below kmax^2 of a scalar slot, in increasing order.
 
-    Eigenvalue j (the zero modes are 0 .. kernel dim - 1) is bracketed in k by
-    bisection on the count until a bracket (lo, hi] with lo > 0 holds it
-    alone, every bracket of the slot in one count per step.  Each is then
-    refined on the secular determinant by regula falsi with the Illinois
-    step, again all in one call per step, to REFINE_XTOL in k.
+    Eigenvalue j (the zero modes are 0 .. kernel dim - 1) is the one k where
+    the angle sum S(k^2) of :func:`eigen_count` is (j+1) pi.  S is increasing,
+    so every such root lies in [a, kmax], where a is halved from kmax until
+    its count is the kernel dimension.  All of them are solved together by
+    regula falsi with the Illinois step on S - (j+1) pi, one walk per step,
+    until the bracket in k holds at most four doubles: a close pair is split
+    as far as S resolves it.  Past ILLINOIS_STEPS every other step bisects:
+    at a close pair S climbs 2 pi over a tiny interval, where the linear
+    model gains little per step, and a bracket that halves every two steps
+    gets there well within MAX_STEPS.
     """
-    ks, ns = np.array([0.0, kmax]), np.array([first_order_kernel(slot).dim, eigen_count(slot, kmax * kmax)])
-    j = np.arange(ns[0], ns[1])
+    dim, a = first_order_kernel(slot).dim, kmax
+    s_a = s_max = _walk(slot, kmax * kmax, count=True)
     for _ in range(MAX_STEPS):
-        lo = np.searchsorted(ns, j, side="right") - 1
-        open_ = (ns[lo] < j) | (ns[lo + 1] > j + 1) | (ks[lo] == 0)
-        if not open_.any():
+        if math.ceil(s_a / math.pi) - 1 <= dim:
             break
-        mid = np.unique(0.5 * (ks[lo] + ks[lo + 1])[open_])
-        ks, ns = np.concatenate([ks, mid]), np.concatenate([ns, eigen_count(slot, mid * mid)])
-        order = np.argsort(ks)
-        ks, ns = ks[order], ns[order]
+        a *= 0.5
+        s_a = _walk(slot, a * a, count=True)
     else:
-        raise ConvergenceError(f"{slot.label}: bisection did not isolate the eigenvalues below {kmax**2}")
-
-    a, b = ks[lo], ks[lo + 1]
-    fa, fb = np.split(secular_value(slot, np.concatenate([a, b]) ** 2), 2)
-    if np.any(fa * fb > 0):
-        raise ConvergenceError(f"{slot.label}: no sign change of the determinant across a counted eigenvalue")
-    for _ in range(MAX_STEPS):
-        t = np.flatnonzero((np.abs(b - a) > REFINE_XTOL) & (fb != 0))
+        raise ConvergenceError(f"{slot.label}: no lam > 0 counts only its {dim} zero modes")
+    target = math.pi * np.arange(dim + 1, math.ceil(s_max / math.pi))
+    a, b, fa, fb = np.full(target.shape, a), np.full(target.shape, kmax), s_a - target, s_max - target
+    for step in range(MAX_STEPS):
+        t = np.flatnonzero((np.abs(b - a) > 4 * np.spacing(b)) & (fb != 0))
         if t.size == 0:
             return b * b
         c = b[t] - fb[t] * (b[t] - a[t]) / (fb[t] - fa[t])
-        fc = secular_value(slot, c * c)
+        if step >= ILLINOIS_STEPS and step % 2 == 0:
+            c = 0.5 * (a[t] + b[t])
+        fc = _walk(slot, c * c, count=True) - target[t]
         same = fc * fb[t] > 0  # c replaces b on its side: halve the value kept at a
         a[t], fa[t] = np.where(same, a[t], b[t]), np.where(same, 0.5 * fa[t], fb[t])
         b[t], fb[t] = c, fc
-    raise ConvergenceError(f"{slot.label}: root refinement did not reach {REFINE_XTOL} in k")
+    raise ConvergenceError(f"{slot.label}: root refinement did not converge in {MAX_STEPS} steps")
 
 
 def transfer_spectrum(problem: ChannelProblem, lam_max: float) -> EigList:

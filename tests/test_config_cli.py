@@ -287,6 +287,26 @@ def test_aps_kernel_output(tmp_path):
     assert "config_sha256" in payload["provenance"]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_aps_kernel_of_an_annulus_has_no_duality_check(tmp_path, n):
+    # Hodge duality pairs degrees p and n+1-p only when M2's far end is a
+    # tip; an annulus's absolute far end becomes relative under the star, and
+    # its kernel sits in degree n alone
+    cfg = write_cfg(tmp_path, n=n, m2={"type": "annulus", "r_lo": 1.0, "r_hi": 2.0})
+    assert main(["aps-kernel", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    dims = json.loads((tmp_path / "aps_kernel.json").read_text())["dims"]
+    assert {p: d for p, d in dims.items() if d} == {str(n): 1}
+
+
+def test_aps_kernel_checks_duality_when_m2_ends_at_a_tip(tmp_path, capsys, monkeypatch):
+    from conesum import cli
+    from conesum.aps_limit import KernelReport
+
+    monkeypatch.setattr(cli, "aps_kernel", lambda problem: KernelReport(dims={0: 0, 1: 1, 2: 0, 3: 0}))
+    assert main(["aps-kernel", "--out", str(tmp_path)]) == 1
+    assert "kernel degree symmetry broken at p=1" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("kind", ["spindle", "cone"])
 def test_aps_kernel_rejects_an_m2_that_starts_at_a_tip(tmp_path, capsys, kind):
     cfg = write_cfg(tmp_path, m2={"type": kind, "radius": 2.0})
@@ -356,6 +376,16 @@ def test_sweep_honours_solver_fields(tmp_path, capsys, monkeypatch):
     cfg = write_cfg(tmp_path, degrees=[0], epsilons=[0.2], k_track=1, lam_max=15.0, solver=solver)
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "SolverDisagreementError"
+
+
+def test_secular_sweep_with_caps_on_eigenvalues_of_later_channels(tmp_path):
+    # the k-lowest search caps each channel at an eigenvalue it found; on the
+    # symmetric spindle that value, 59.67951594410944, is also one of a slot
+    # whose eigenform has a node at the matching breakpoint, which the count
+    # once took twice, so the secular solver never isolated it
+    solver = {**DEFAULTS["solver"], "method": "secular"}
+    cfg = write_cfg(tmp_path, lam_max=60.0, k_track=4, solver=solver)
+    assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
 def reject_constant(name):
@@ -428,7 +458,8 @@ def test_cli_error_record(tmp_path, capsys):
 def test_benchmark_tracer_binds_every_traced_name():
     # perfbench's tracer wraps conesum functions by module and name, and
     # rewrites module attributes, so it must run in its own interpreter;
-    # -B keeps it from writing bytecode into perfbench/.  One secular solve
+    # -B keeps it from writing bytecode into perfbench/.  One determinant
+    # reading of the secular walk (which the solver itself no longer makes)
     # must then show up in the secular spans and the Bessel counters, and
     # one FEM solve in the hooks that read its entries and eigsh's sparse K.
     root = Path(__file__).resolve().parents[1]
@@ -439,6 +470,7 @@ def test_benchmark_tracer_binds_every_traced_name():
         "from conesum import geometry\nfrom conesum.radial import fem, problems, transfer\n"
         "probs = problems.degree_problems(geometry.cone(1.0), 2, 0, 40.0)[0]\n"
         "assert len(transfer.transfer_spectrum(probs[0], 40.0).entries) > 0\n"
+        "assert transfer.secular_value(probs[0], [1.0, 20.0, 40.0]).shape == (3,)\n"
         "assert len(fem.fem_spectrum(probs[0], fem.MeshSpec(h=0.1), 40.0).entries) > 0\n"
         "m = layer_metrics(tracer.dump(), ['radial.transfer.secular_value'])\n"
         "print(m['radial.transfer.secular_value.calls'], m['radial.bessel.jy_arrays.calls'],"

@@ -84,6 +84,25 @@ def test_secular_value_rejects_nonpositive_lambda():
                 reading(prob, lam)
 
 
+@pytest.mark.parametrize("lam", [math.inf, math.nan])
+@pytest.mark.parametrize("reading", ["secular_value", "eigen_count", "transfer_spectrum", "fem_spectrum"])
+def test_solvers_reject_a_non_finite_lambda(reading, lam):
+    # inf once overflowed the walk's sample count and sent FEM into a
+    # refinement check it cannot pass; nan made FEM return no values
+    prob = find_problem(geo.cone(1.0), 2, 0, "q0:k1:minus")
+    solve = {
+        "secular_value": secular_value,
+        "eigen_count": eigen_count,
+        "transfer_spectrum": transfer_spectrum,
+        "fem_spectrum": lambda pr, x: fem_spectrum(pr, MeshSpec(h=0.1), x),
+    }[reading]
+    with pytest.raises(DomainError):
+        solve(prob, lam)
+    if reading in ("secular_value", "eigen_count"):
+        with pytest.raises(DomainError):
+            solve(prob, np.array([1.0, lam]))
+
+
 def test_secular_value_on_an_array_matches_scalar_calls():
     m_eps = geo.connected_sum_profile(geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0), 0.1)
     prob = find_problem(m_eps, 2, 1, "q1:k1:minus")
@@ -207,8 +226,9 @@ def fem_gap_caps(slot, lam_hi, spots=(0.5,)):
 
 
 def test_eigen_count_with_an_end_state_at_the_matching_point():
-    # one segment: the states meet at its absolute end, where a beta slot's
-    # dropped end state (u = 0) keeps its own angle, on either side
+    # one segment: the states meet at its absolute end, where the empty
+    # half-walk's angle is its end state's (u = 0 for a beta slot's dropped
+    # end), on either side
     cone = geo.cone(1.0)
     for profile in (cone, cone.reversed()):
         for p, label_part in ((0, "q0:k1:minus"), (1, "q0:kH"), (2, "q0:k2:minus")):
@@ -232,6 +252,47 @@ def test_eigen_count_from_a_dirichlet_start():
     assert len(caps) >= 34
     assert eigen_count(slot, caps).tolist() == expected.tolist()
     assert eigen_count(slot, float(caps[0])) == 1
+
+
+def assert_counts_bracket_each_root(slot, roots):
+    """The count steps from a root's index to the next one across the root:
+    exactly so at d = min(1e-10, gap/4) off it, relative, where gap is the
+    relative distance to the nearest other root, and to either value at the
+    root itself, at its nextafter neighbours and at 1e-14 off it, where the
+    rounding of the walk decides."""
+    dim = first_order_kernel(slot).dim
+    for i, lam in enumerate(roots):
+        j = dim + i
+        d = min([1e-10] + [abs(lam - r) / (4 * lam) for r in roots if r != lam])
+        assert eigen_count(slot, lam * np.array([1 - d, 1 + d])).tolist() == [j, j + 1], (slot.label, lam)
+        near = [lam * (1 - 1e-14), np.nextafter(lam, 0), lam, np.nextafter(lam, math.inf), lam * (1 + 1e-14)]
+        counts = eigen_count(slot, np.array(near)).tolist()
+        assert set(counts) <= {j, j + 1}, (slot.label, lam, counts)
+
+
+def test_eigen_count_takes_a_node_at_the_matching_breakpoint_once():
+    # the slot's eigenform at lam0 vanishes at the equator, the matching
+    # breakpoint, so u there changes sign at lam0 in both half-walks; the
+    # count once read 3, 3, 5, 5, 4 here
+    slot = find_problem(geo.spindle(1.0), 2, 0, "q0:k1:minus_half", lam_max=60.0)
+    assert slot.label == "p0:n2:q0:k1:minus_half"
+    roots = transfer_spectrum(slot, 60.0).values()
+    lam0 = 59.67951594410944
+    assert roots[-1] == pytest.approx(lam0, rel=1e-12)
+    counts = [eigen_count(slot, lam0 + d) for d in (-1e-12, -1e-14, 0.0, 1e-14, 1e-12)]
+    assert counts[:2] == [3, 3] and counts[-1] == 4 and set(counts) <= {3, 4}
+    assert_counts_bracket_each_root(slot, roots)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_eigen_count_brackets_every_root_on_the_spindle(n):
+    # a symmetric profile: every odd eigenform has a node at the equator,
+    # where the two half-walks meet
+    profile = geo.spindle(1.0)
+    problems = [pr for p in range(n + 2) for pr in problems_for(profile, n, p, 60.0)]
+    slots = {s.ode_key: s for pr in problems for s in pr.slot_problems()}
+    for slot in slots.values():
+        assert_counts_bracket_each_root(slot, transfer_spectrum(slot, 60.0).values())
 
 
 M1, M2 = geo.spindle(1.0), geo.truncated_spindle(2.0, 1.0)
@@ -1273,6 +1334,21 @@ def test_eigen_count_matches_fem_on_random_profiles(profile, n, data):
             assert eigen_count(slot, caps).tolist() == expected.tolist(), slot.label
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    profile=st.one_of(some_mirrored, some_mirrored.map(dirichlet_ends), some_mirrored.map(aps_ends)),
+    n=st.sampled_from([2, 3]),
+    data=st.data(),
+)
+def test_eigen_count_brackets_every_root_on_random_profiles(profile, n, data):
+    # mirrored profiles match at the mirror seam, where every odd eigenform
+    # has a node
+    p = data.draw(st.integers(0, n + 1))
+    for prob in problems_for(profile, n, p, 15.0):
+        if prob.size == 1:
+            assert_counts_bracket_each_root(prob, transfer_spectrum(prob, 15.0).values())
+
+
 def roots_agree(fem_vals, roots, rtol):
     """The value comparison of FEM against refined secular roots: equal
     counts, and each sorted pair within rtol of the larger (1e-3 floor)."""
@@ -1288,7 +1364,7 @@ def test_count_check_agrees_with_root_comparison_on_random_profiles(profile, n, 
     # accepts exactly when the refined roots are within CROSS_RTOL, for a
     # scalar slot and for a coupled channel as the fields path checks it
     # (draws within 1e-9 of the tolerance are discarded: the roots are
-    # refined to 1e-13, not exact)
+    # refined to the last bits of k, not exact)
     from conesum.analysis import CROSS_RTOL, _cross_validate
     from conesum.errors import SolverDisagreementError
 
