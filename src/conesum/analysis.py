@@ -103,13 +103,14 @@ def assemble_spectrum(
     looping over degrees, or a whole run, pass one dict and dual degrees
     share its solves; with method="both" each solve's FEM eigenvalues are
     checked against the secular solver's Sturm counts (``_cross_validate``:
-    as many secular eigenvalues below the cap, and one within CROSS_RTOL of
-    each FEM value, else SolverDisagreementError).  Zero modes are counted
-    analytically from the harmonic matching systems; FEM's first that many
-    eigenvalues per slot are its zero modes, once its spectrum shows a gap
-    there (``_positive_entries``).  Reported eigenvalues come from FEM
-    unless method="secular".  A coupled problem with Dirichlet-like or APS
-    ends raises DomainError, since its slots do not carry its spectrum there.
+    as many secular eigenvalues below the cap, to within CROSS_RTOL, and one
+    within CROSS_RTOL of each FEM value, else SolverDisagreementError).  Zero
+    modes are counted analytically from the harmonic matching systems; FEM's
+    first that many eigenvalues per slot are its zero modes, once its
+    spectrum shows a gap there (``_positive_entries``).  Reported eigenvalues
+    come from FEM unless method="secular".  A coupled problem with
+    Dirichlet-like or APS ends raises DomainError, since its slots do not
+    carry its spectrum there.
     """
     cache = _slot_cache if _slot_cache is not None else {}
     return _degree_spectrum(profile, n, p, lam_max, None, method, mesh or MeshSpec(), False, cache)
@@ -233,14 +234,13 @@ def _empty_below(prob: ChannelProblem, cap: float, method: str, mesh: MeshSpec):
     no coarse eigenvalue below fem_spectrum's cap for cap (``coarse_count``).
     A coupled channel has the positive spectrum of its slots, so its own
     pencil is assembled only to be solved.  With method="both" the secular
-    solver must agree: each slot's Sturm count ``eigen_count`` at cap is its
-    kernel dimension, the cap count of ``_cross_validate`` with no FEM
-    value; else the channel is solved, and its count check raises.
+    solver must agree: ``_cross_validate`` with no FEM value, whose count
+    check raises SolverDisagreementError before any FEM solve.
     """
-    slots = prob.slot_problems()
-    return all(coarse_count(s, mesh, cap) == 0 for s in slots) and (
-        method != "both" or all(eigen_count(s, cap) == first_order_kernel(s).dim for s in slots)
-    )
+    empty = all(coarse_count(s, mesh, cap) == 0 for s in prob.slot_problems())
+    if empty and method == "both":
+        _cross_validate(prob, [], cap)
+    return empty
 
 
 def _slot_spectrum(
@@ -314,23 +314,27 @@ def _cross_validate(prob: ChannelProblem, fem_vals, cap: float) -> None:
     tau 1e-3), the upper end aside.  With P(lam) the number of
     positive eigenvalues below lam, summed over ``prob.slot_problems()`` as
     ``eigen_count`` less the kernel dimension (one walk per slot at every
-    lo, hi and cap), the check passes iff P(cap) = m and, for every i,
-    P(lo_i) <= i - 1 and P(hi_i) >= i.  No root is refined.  A count
-    mismatch at cap raises SolverDisagreementError first, then the first
-    value outside its bracket.
+    lo, hi and cap -+ b), the check passes iff P(cap - b) <= m <= P(cap + b)
+    with b = tau max(cap, 1e-3), and, for every i, P(lo_i) <= i - 1 and
+    P(hi_i) >= i.  The band b absorbs FEM's error at a cap that is itself a
+    FEM value, whose secular eigenvalue may lie just below it.  No root is
+    refined.  A count outside the band raises SolverDisagreementError
+    first, then the first value outside its bracket.
     """
     a = np.sort(np.asarray(fem_vals, dtype=float))
     m = len(a)
     lo = a - CROSS_RTOL * np.maximum(a, 1e-3)
     hi = np.maximum(a / (1.0 - CROSS_RTOL), a + CROSS_RTOL * 1e-3)
-    lam = np.concatenate([lo, hi, [cap]])
+    band = CROSS_RTOL * max(cap, 1e-3)
+    lam = np.concatenate([lo, hi, [cap - band, cap + band]])
     live = lam > 0  # no positive eigenvalue lies below lam <= 0
     counts = np.zeros(lam.shape, dtype=int)
     for slot in prob.slot_problems():
         counts[live] += eigen_count(slot, lam[live]) - first_order_kernel(slot).dim
-    if counts[-1] != m:
-        raise SolverDisagreementError(f"{prob.label}: secular found {counts[-1]} eigenvalues, FEM {m}")
-    below, above = counts[:m], counts[m:-1]
+    if not counts[-2] <= m <= counts[-1]:
+        found = counts[-2] if counts[-2] > m else counts[-1]
+        raise SolverDisagreementError(f"{prob.label}: secular found {found} eigenvalues, FEM {m}")
+    below, above = counts[:m], counts[m:-2]
     bad = np.flatnonzero((below > np.arange(m)) | (above <= np.arange(m)))
     if bad.size:
         i = bad[0]

@@ -17,19 +17,18 @@ number of eigenvalues below lam, is ceil(S/pi) - 1, and
 modes first, as the lam where S = (j+1) pi.  The lift is exact: every slot
 has c = gamma(gamma+1) >= 0, so by Sturm comparison the zeros of u lie at
 least pi/k apart, and u sampled at a spacing below pi/k changes sign once
-per zero; seams only jump u'.  ``method="both"`` reads the count alone
-(``conesum.analysis._cross_validate``).  :func:`secular_value` reads the
-same walk as the determinant of the two states; the solver does not use it.
+per zero; seams only jump u'.  S is the walk's one reading:
+``method="both"`` reads its count alone (``conesum.analysis._cross_validate``),
+and :func:`secular_value` is sin S, which the solver does not call.
 
 Only scalar problems are solved.  A coupled PLUS_HALF problem is handed to
 :func:`transfer_spectrum` as its two single-slot problems
 (``ChannelProblem.slot_problems``), whose merged spectrum is its positive
 spectrum; :func:`secular_value` rejects it.  Every lam of a call is carried
 at once, as an (m, 2) stack of states.  The basis coefficients of the entry
-states come from one batched 2x2 solve and are evaluated at the exit (and,
-for a count, at the sample points), with renormalisation between segments so
-that the dynamic range of Bessel functions across small radii cannot
-overflow.
+states come from one batched 2x2 solve and are evaluated at the sample
+points, the exit last, with renormalisation between segments so that the
+dynamic range of Bessel functions across small radii cannot overflow.
 """
 
 from __future__ import annotations
@@ -96,17 +95,18 @@ def _jump(states: np.ndarray, K) -> np.ndarray:
     return states if K is None else np.column_stack([states[:, 0], states[:, 1] + K[0, 0] * states[:, 0]])
 
 
-def _half_walk(problem: ChannelProblem, k: np.ndarray, stop: int, count: bool):
+def _half_walk(problem: ChannelProblem, k: np.ndarray, stop: int):
     """Carry the states admissible at the profile's start rightward to breakpoint ``stop``.
 
     Returns the states (u, u') at ``stop`` as the limit from its left, no
-    jump at ``stop`` applied, and the list of u walked so far.  A tip start
-    is the tip-regular J branch across the whole first segment.
+    jump at ``stop`` applied, and the list of u walked so far, sampled at a
+    spacing below pi / k.  A tip start is the tip-regular J branch across the
+    whole first segment.
     """
     nu, segs = problem.nu, problem.profile.segments
     seams = [None, *problem.seam_matrices()]  # by breakpoint; the start has none
     tip = problem.profile.start_bc is BCKind.REGULAR_TIP
-    kmax = k.max(initial=0.0) if count else 0.0  # a count samples u at a spacing below pi / k
+    kmax = k.max(initial=0.0)
 
     if tip:
         radius = segs[0].radius_at_exit()
@@ -131,15 +131,13 @@ def _half_walk(problem: ChannelProblem, k: np.ndarray, stop: int, count: bool):
     return states, samples
 
 
-def _walk(problem: ChannelProblem, lam, count: bool):
-    """Carry the left and right admissible states to the matching breakpoint.
+def _walk(problem: ChannelProblem, lam):
+    """The sum S(lam) of the two half-walks' lifted Pruefer angles at the matching breakpoint.
 
     The left states are a :func:`_half_walk` of ``problem``, jumped at the
     matching seam; the right ones a half-walk of the mirrored problem (the
     reversed profile), in its own coordinate t, which runs the other way.
-    Returns the secular determinant at each lam, with the right u' negated
-    into the left coordinate, or with ``count`` the sum S(lam) of the two
-    halves' lifted Pruefer angles (:func:`_lifted_angle`).
+    Each half's angle is :func:`_lifted_angle` in its own coordinate.
     """
     lam = np.asarray(lam, dtype=float)
     if not np.all((lam > 0) & np.isfinite(lam)):
@@ -155,35 +153,25 @@ def _walk(problem: ChannelProblem, lam, count: bool):
     else:
         match = 0 if profile.end_bc is BCKind.REGULAR_TIP else 1
 
-    left, left_u = _half_walk(problem, k, match, count)
+    left, left_u = _half_walk(problem, k, match)
     if 0 < match < nseg:
         left = _jump(left, problem.seam_matrices()[match - 1])
-    right, right_u = _half_walk(dataclasses.replace(problem, profile=profile.reversed()), k, nseg - match, count)
-
-    if count:
-        out = _lifted_angle(left_u, left) + _lifted_angle(right_u, right)
-    else:
-        left, right = _normalize(left), _normalize(right * [1.0, -1.0])
-        out = left[:, 0] * right[:, 1] - left[:, 1] * right[:, 0]
+    right, right_u = _half_walk(dataclasses.replace(problem, profile=profile.reversed()), k, nseg - match)
+    out = _lifted_angle(left_u, left) + _lifted_angle(right_u, right)
     return out[0].item() if lam.ndim == 0 else out.reshape(lam.shape)
 
 
 def secular_value(problem: ChannelProblem, lam):
-    """Secular determinant of a scalar problem at each lam > 0; zero exactly at eigenvalues.
+    """sin S(lam) of a scalar problem at each lam > 0; zero exactly at eigenvalues.
 
-    ``lam`` is a float or an array; the result has its shape.  The value is
-    the determinant of the left and right states, each scaled to max-norm 1,
-    so it lies in [-2, 2] and is linear in lam at a simple eigenvalue.  Each
-    end state is set in the coordinate running inward from its end: an end
-    that drops its dof starts from (u, u') = (0, 1) at the start and from
-    (0, -1) in t at the end.  The seam jump at an interior breakpoint maps
-    the limit from the left segment to the limit from the right segment.
-    Orientation flips of BETA slots multiply a whole state by -1, which
-    commutes with every map here, so only the t-versus-r sign of the
-    derivative enters.  lam <= 0, a non-finite lam and a coupled problem
-    raise DomainError: solve a coupled problem's ``slot_problems()`` instead.
+    ``lam`` is a float or an array; the result has its shape.  S is the
+    increasing angle sum of :func:`eigen_count`, a multiple of pi exactly at
+    the eigenvalues, so the value is at most 1 in size and of opposite sign
+    on either side of each eigenvalue.  lam <= 0, a non-finite lam and a
+    coupled problem raise DomainError: solve a coupled problem's
+    ``slot_problems()`` instead.
     """
-    return _walk(problem, lam, count=False)
+    return np.sin(_walk(problem, lam))
 
 
 def eigen_count(problem: ChannelProblem, lam):
@@ -193,7 +181,7 @@ def eigen_count(problem: ChannelProblem, lam):
     ceil(S/pi) - 1 of the angle sum S that :func:`_slot_roots` solves, read
     off the same walk as :func:`secular_value`, and raises as it does.
     """
-    n = np.ceil(np.divide(_walk(problem, lam, count=True), math.pi)).astype(int) - 1
+    n = np.ceil(np.divide(_walk(problem, lam), math.pi)).astype(int) - 1
     return n.item() if n.ndim == 0 else n
 
 
@@ -212,12 +200,12 @@ def _slot_roots(slot: ChannelProblem, kmax: float) -> np.ndarray:
     gets there well within MAX_STEPS.
     """
     dim, a = first_order_kernel(slot).dim, kmax
-    s_a = s_max = _walk(slot, kmax * kmax, count=True)
+    s_a = s_max = _walk(slot, kmax * kmax)
     for _ in range(MAX_STEPS):
         if math.ceil(s_a / math.pi) - 1 <= dim:
             break
         a *= 0.5
-        s_a = _walk(slot, a * a, count=True)
+        s_a = _walk(slot, a * a)
     else:
         raise ConvergenceError(f"{slot.label}: no lam > 0 counts only its {dim} zero modes")
     target = math.pi * np.arange(dim + 1, math.ceil(s_max / math.pi))
@@ -229,7 +217,7 @@ def _slot_roots(slot: ChannelProblem, kmax: float) -> np.ndarray:
         c = b[t] - fb[t] * (b[t] - a[t]) / (fb[t] - fa[t])
         if step >= ILLINOIS_STEPS and step % 2 == 0:
             c = 0.5 * (a[t] + b[t])
-        fc = _walk(slot, c * c, count=True) - target[t]
+        fc = _walk(slot, c * c) - target[t]
         same = fc * fb[t] > 0  # c replaces b on its side: halve the value kept at a
         a[t], fa[t] = np.where(same, a[t], b[t]), np.where(same, 0.5 * fa[t], fb[t])
         b[t], fb[t] = c, fc

@@ -498,22 +498,27 @@ def test_sweep_solves_or_counts_every_channel(monkeypatch):
     assert sum(pr.profile in {s[0] for s in searched} for pr in solved) <= 12
 
 
-def test_search_with_both_methods_solves_a_channel_fem_misses(monkeypatch):
+def test_search_with_both_methods_reports_a_channel_fem_misses(monkeypatch):
     # FEM, coarse counts included, sees nothing past the lowest channel;
-    # the Sturm counts see values below lam*, so those channels are solved
-    # and the solvers' disagreement is reported, not skipped
+    # the Sturm counts see values below lam*, so the count check raises
+    # before any FEM solve of a missed channel: the solvers' disagreement is
+    # reported, not skipped
     m_eps = connected_sum_profile(spindle(1.0), truncated_spindle(2.0, 1.0), 0.1)
     first = min(degree_problems(m_eps, 2, 0, 40.0)[0], key=lambda pr: pr.lower_bound()).label
     fem_spectrum, coarse_count = analysis.fem_spectrum, analysis.coarse_count
+    solved = []
 
     def missed(pr, *a, **kw):
+        solved.append(pr.label)
         return fem_spectrum(pr, *a, **kw) if pr.label == first else EigList(entries=[])
 
     monkeypatch.setattr(analysis, "fem_spectrum", missed)
     monkeypatch.setattr(analysis, "coarse_count", lambda pr, *a: coarse_count(pr, *a) if pr.label == first else 0)
     assert _degree_spectrum(m_eps, 2, 0, 40.0, 3, "fem", MESH, True, {}).positive_values().size == 3
+    solved.clear()
     with pytest.raises(SolverDisagreementError, match="secular found [1-9]"):
         _degree_spectrum(m_eps, 2, 0, 40.0, 3, "both", MESH, True, {})
+    assert set(solved) == {first}
 
 
 def test_cross_validate_counts_each_value_in_its_bracket():
@@ -533,6 +538,15 @@ def test_cross_validate_counts_each_value_in_its_bracket():
                 analysis._cross_validate(prob, [off] + roots[1:], 40.0)
         with pytest.raises(SolverDisagreementError, match=f"secular found {len(roots)} eigenvalues, FEM {len(roots) - 1}"):
             analysis._cross_validate(prob, roots[1:], 40.0)
+    # a cap within CROSS_RTOL above a secular eigenvalue may be a FEM value
+    # just below that eigenvalue's own FEM value, which the solve does not
+    # report, so the count at the cap is checked only to within the band
+    assert scalar.label == "p0:n2:q0:kH:exceptional"
+    roots = list(transfer_spectrum(scalar, 40.0).values())
+    assert len(roots) == 3
+    analysis._cross_validate(scalar, roots[:-1], roots[-1] * (1 + tau / 2))
+    with pytest.raises(SolverDisagreementError, match="secular found 3 eigenvalues, FEM 2"):
+        analysis._cross_validate(scalar, roots[:-1], roots[-1] * (1 + 3 * tau))
 
 
 def test_secular_sweep_matches_the_full_spectra(monkeypatch):

@@ -388,6 +388,23 @@ def test_secular_sweep_with_caps_on_eigenvalues_of_later_channels(tmp_path):
     assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path)]) == 0
 
 
+def test_sweep_with_both_methods_at_a_cap_that_is_a_fem_value(tmp_path):
+    # the k-lowest search's cap 59.67951594571888 is a FEM value; the slot
+    # p2:n2:q0:k1:minus_half has its secular root 1.6e-9 below it and its FEM
+    # value 2.5e-13 above it, so the exact counts at the cap read 4 and 3,
+    # and the cross-check once failed the run there
+    rows = {}
+    for method in ("both", "fem"):
+        out = tmp_path / method
+        out.mkdir()
+        solver = {**DEFAULTS["solver"], "method": method}
+        cfg = write_cfg(out, lam_max=60.0, k_track=4, solver=solver)
+        assert main(["sweep", "--config", str(cfg), "--out", str(out)]) == 0, method
+        rows[method] = [line for line in (out / "sweep.csv").read_text().splitlines() if not line.startswith("#")]
+    assert len(rows["both"]) > 1
+    assert rows["both"] == rows["fem"]
+
+
 def reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
@@ -458,8 +475,8 @@ def test_cli_error_record(tmp_path, capsys):
 def test_benchmark_tracer_binds_every_traced_name():
     # perfbench's tracer wraps conesum functions by module and name, and
     # rewrites module attributes, so it must run in its own interpreter;
-    # -B keeps it from writing bytecode into perfbench/.  One determinant
-    # reading of the secular walk (which the solver itself no longer makes)
+    # -B keeps it from writing bytecode into perfbench/.  One secular_value
+    # reading, sin of the walk's angle sum (which the solver does not call),
     # must then show up in the secular spans and the Bessel counters, and
     # one FEM solve in the hooks that read its entries and eigsh's sparse K.
     root = Path(__file__).resolve().parents[1]
@@ -493,29 +510,33 @@ import check, workloads
 from conesum.cli import main
 for name in ("sweep", "crosscheck", "hodge"):
     workload = workloads.WORKLOADS[name]
-    cfg, eps = workloads.inputs(workload, 0)
-    stored = json.loads((root / "perfbench" / "refs" / f"{name}.json").read_text())["0"]
-    assert (stored["config"], stored["eps"]) == (cfg, eps), name
-    path, out = work / f"{name}.json", work / name
-    path.write_text(json.dumps(cfg))
-    assert main(workloads.argv(workload, str(path), str(out), eps)) == 0, name
-    hodge_n = cfg["n"] if workload.hodge_dual else None
-    _, failures = check.check_output(out, workload.outputs, stored["output"], hodge_n)
-    print(name, json.dumps(failures))
+    refs = json.loads((root / "perfbench" / "refs" / f"{name}.json").read_text())
+    for variant in range(workloads.VARIANTS):
+        cfg, eps = workloads.inputs(workload, variant)
+        stored = refs[str(variant)]
+        assert (stored["config"], stored["eps"]) == (cfg, eps), (name, variant)
+        path, out = work / f"{name}{variant}.json", work / f"{name}{variant}"
+        path.write_text(json.dumps(cfg))
+        assert main(workloads.argv(workload, str(path), str(out), eps)) == 0, (name, variant)
+        hodge_n = cfg["n"] if workload.hodge_dual else None
+        _, failures = check.check_output(out, workload.outputs, stored["output"], hodge_n)
+        print(f"{name}:{variant}", json.dumps(failures))
 """
 
 
 def test_benchmark_workloads_match_their_references(tmp_path):
-    # variant 0 of every benchmark workload, run as the benchmark runs it and
-    # checked by its checker against its stored reference; in a fresh
-    # interpreter, with -B so nothing is written into perfbench/
+    # every stored input variant of every benchmark workload, run as the
+    # benchmark runs it and checked by its checker against its stored
+    # reference; in one fresh interpreter, with -B so nothing is written
+    # into perfbench/
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-B", "-c", BENCHMARK_GUARD, str(root), str(tmp_path)], capture_output=True, text=True
     )
     assert proc.returncode == 0, proc.stderr
     failures = dict(line.split(" ", 1) for line in proc.stdout.splitlines())
-    assert failures == {"sweep": "[]", "crosscheck": "[]", "hodge": "[]"}
+    expected = [f"{name}:{variant}" for name in ("sweep", "crosscheck", "hodge") for variant in range(16)]
+    assert failures == dict.fromkeys(expected, "[]")
 
 
 def test_cli_import_leaves_jsonschema_and_scipy_optimize_unloaded():

@@ -110,7 +110,7 @@ def test_secular_value_on_an_array_matches_scalar_calls():
     vals = secular_value(prob, lam)
     assert vals.shape == lam.shape
     assert vals[0] == pytest.approx([secular_value(prob, float(x)) for x in lam[0]], rel=1e-14, abs=1e-300)
-    assert np.all(np.abs(vals) <= 2.0)
+    assert np.all(np.abs(vals) <= 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -259,15 +259,20 @@ def assert_counts_bracket_each_root(slot, roots):
     exactly so at d = min(1e-10, gap/4) off it, relative, where gap is the
     relative distance to the nearest other root, and to either value at the
     root itself, at its nextafter neighbours and at 1e-14 off it, where the
-    rounding of the walk decides."""
+    rounding of the walk decides.  ``secular_value``, sin of the same angle
+    sum, has opposite signs at d off either side, and is at most 1 in size
+    at every lam probed."""
     dim = first_order_kernel(slot).dim
     for i, lam in enumerate(roots):
         j = dim + i
         d = min([1e-10] + [abs(lam - r) / (4 * lam) for r in roots if r != lam])
-        assert eigen_count(slot, lam * np.array([1 - d, 1 + d])).tolist() == [j, j + 1], (slot.label, lam)
+        off = lam * np.array([1 - d, 1 + d])
+        assert eigen_count(slot, off).tolist() == [j, j + 1], (slot.label, lam)
         near = [lam * (1 - 1e-14), np.nextafter(lam, 0), lam, np.nextafter(lam, math.inf), lam * (1 + 1e-14)]
         counts = eigen_count(slot, np.array(near)).tolist()
         assert set(counts) <= {j, j + 1}, (slot.label, lam, counts)
+        values = secular_value(slot, np.append(off, near))
+        assert values[0] * values[1] < 0 and np.all(np.abs(values) <= 1.0), (slot.label, lam, values)
 
 
 def test_eigen_count_takes_a_node_at_the_matching_breakpoint_once():
